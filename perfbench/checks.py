@@ -49,7 +49,14 @@ class Reference:
 
     @cached_property
     def laplacian(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.exact_laplacian])
+        """Float column Laplacian; the diagonal is the rounded exact indegree."""
+        lap = np.zeros((self.n, self.n))
+        indegree = [Fraction(0)] * self.n
+        for t, h, w in self.arcs:
+            lap[t - 1, h - 1] = -float(w)
+            indegree[h - 1] += w
+        lap[np.diag_indices(self.n)] = [float(d) for d in indegree]
+        return lap
 
     @cached_property
     def _condensation(self):
@@ -119,11 +126,10 @@ class Reference:
     @cached_property
     def degree_balance(self) -> np.ndarray:
         """Weighted outdegree minus weighted indegree."""
-        d = [Fraction(0)] * self.n
-        for t, h, w in self.arcs:
-            d[t - 1] += w
-            d[h - 1] -= w
-        return np.array([float(x) for x in d])
+        w = np.zeros((self.n, self.n))
+        for t, h, weight in self.arcs:
+            w[t - 1, h - 1] = float(weight)
+        return w.sum(axis=1) - w.sum(axis=0)
 
 
 def _fail(errors: list, label: str, ok: bool, detail: str = "") -> None:

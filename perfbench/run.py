@@ -1,6 +1,6 @@
 """forestcalc benchmark: four checked workloads, end-to-end and per-layer metrics.
 
-    python3 perfbench/run.py --workload analyse --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload analyse --seed 1 --seconds 15 --trace 0
 
 Run from the root of a checkout.  The program is imported from the
 checkout's src/ (never from an installed copy); without it the run exits 2
