@@ -48,14 +48,20 @@ class Reference:
         return lap
 
     @cached_property
+    def indegree(self) -> list[Fraction]:
+        """Exact weighted indegree of each vertex."""
+        d = [Fraction(0)] * self.n
+        for _, h, w in self.arcs:
+            d[h - 1] += w
+        return d
+
+    @cached_property
     def laplacian(self) -> np.ndarray:
         """Float column Laplacian; the diagonal is the rounded exact indegree."""
         lap = np.zeros((self.n, self.n))
-        indegree = [Fraction(0)] * self.n
         for t, h, w in self.arcs:
             lap[t - 1, h - 1] = -float(w)
-            indegree[h - 1] += w
-        lap[np.diag_indices(self.n)] = [float(d) for d in indegree]
+        lap[np.diag_indices(self.n)] = [float(d) for d in self.indegree]
         return lap
 
     @cached_property
@@ -215,8 +221,7 @@ def check_chain(transition, alpha: float, ref: Reference, label: str = "chain") 
     """I - P = alpha L^T with the default alpha = 1 / (1 + max weighted indegree)."""
     errors: list[str] = []
     p = np.asarray(transition, dtype=float)
-    max_in = max((ref.exact_laplacian[i][i] for i in range(ref.n)), default=Fraction(0))
-    _fail(errors, f"{label} alpha", abs(alpha - float(1 / (1 + max_in))) <= 1e-15)
+    _fail(errors, f"{label} alpha", abs(alpha - float(1 / (1 + max(ref.indegree)))) <= 1e-15)
     dev = _max(np.eye(ref.n) - p - alpha * ref.laplacian.T)
     _fail(errors, f"{label} I - P = alpha L^T", dev <= 1e-12, f"{dev:.2e}")
     _fail(errors, f"{label} stochastic", _max(p.sum(axis=1) - 1.0) <= 1e-12 and float(p.min()) >= 0.0)

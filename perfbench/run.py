@@ -83,15 +83,13 @@ class RoundMaker:
         make = getattr(self, "_" + self.workload.replace("-", "_"))
         return [make(k) for k in range(ROUND_SIZE[self.workload])]
 
-    def _item(self, n, arcs, **extra) -> dict:
-        return {"n": n, "arcs": arcs, **extra}
-
     def _analyse(self, k):
         n, arcs = self.stream.float_pipeline()
-        return self._item(n, arcs, text=self.edge_list(n, arcs))
+        return {"n": n, "arcs": arcs, "text": self.edge_list(n, arcs)}
 
     def _conditions(self, k):
-        return self._item(*self.stream.conditions())
+        n, arcs = self.stream.conditions()
+        return {"n": n, "arcs": arcs}
 
     def _ground_truth(self, k):
         kind = GROUND_TRUTH_KINDS[k]
@@ -100,7 +98,8 @@ class RoundMaker:
                   "verify": self.stream.verify, "score_basis": self.stream.score_basis}[kind]
         extra = {"trials": DISSEMINATION_TRIALS, "seed": self.stream.rng.randrange(2**32)} \
             if kind == "dissemination" else {}
-        return self._item(*source(), kind=kind, **extra)
+        n, arcs = source()
+        return {"n": n, "arcs": arcs, "kind": kind, **extra}
 
     def _cli(self, k):
         command, extra, exact = CLI_COMMANDS[k]
@@ -111,8 +110,8 @@ class RoundMaker:
             n, arcs = self.stream.verify()
         else:
             n, arcs = self.stream.float_pipeline()
-        return self._item(n, arcs, text=self.edge_list(n, arcs), command=command,
-                          extra=extra, exact=exact, cwd=str(ROOT))
+        return {"n": n, "arcs": arcs, "text": self.edge_list(n, arcs), "command": command,
+                "extra": extra, "exact": exact, "cwd": str(ROOT)}
 
 
 # ---- the worker process --------------------------------------------------------------
@@ -216,16 +215,17 @@ class Runner:
         self.check_s = 0.0
         self.started = time.monotonic()
 
+    def next_round(self, workload: str) -> list[dict]:
+        return self.makers.setdefault(workload, RoundMaker(workload, self.seed)).next_round()
+
     def run(self, segment: Segment, seconds: float, min_ops: int) -> None:
-        maker = self.makers.setdefault(segment.workload, RoundMaker(segment.workload, self.seed))
         while True:
-            self._round(segment, maker)
+            self.round(segment, self.next_round(segment.workload))
             done = segment.busy_s >= seconds and segment.ops >= min_ops
             if done or time.monotonic() - self.started > RUN_DEADLINE_S:
                 return
 
-    def _round(self, segment: Segment, maker: RoundMaker) -> None:
-        items = maker.next_round()
+    def round(self, segment: Segment, items: list[dict]) -> None:
         reply = self.worker.ask({"cmd": "round", "workload": segment.workload, "items": items,
                                  "trace": segment.traced, "segment": segment.name,
                                  "first_op": self.attempted})
@@ -354,11 +354,13 @@ def layer_metrics(segments: list[Segment], spans: list, import_time_ms: float) -
 def write_trace(path: Path, spans: list) -> None:
     origin = min((s[1] for s in spans), default=0.0)
     with path.open("w") as fh:
-        for k, (name, start, end, parent, op_id, segment, fh_, fm, eh, em) in enumerate(spans):
+        for k, (name, start, end, parent, op_id, segment, fs_hits, fs_misses,
+                en_hits, en_misses) in enumerate(spans):
             fh.write(json.dumps({"id": k, "name": name, "start_us": round((start - origin) * 1e6, 1),
                                  "end_us": round((end - origin) * 1e6, 1), "parent": parent,
                                  "op": op_id, "segment": segment,
-                                 "forest_stack": [fh_, fm], "enumerate_out_forests": [eh, em]}) + "\n")
+                                 "forest_stack": [fs_hits, fs_misses],
+                                 "enumerate_out_forests": [en_hits, en_misses]}) + "\n")
 
 
 # ---- main ------------------------------------------------------------------------------------
@@ -393,10 +395,14 @@ def main() -> int:
         runner = Runner(worker, args.seed)
         w = args.workload
         if args.trace:
-            untraced = Segment(w, traced=False)
-            runner.run(untraced, args.seconds / 2, 1)
-            segments = [Segment(w, traced=True)]
-            runner.run(segments[0], args.seconds / 2, 1)
+            # each round runs untraced, then traced on the same inputs (the
+            # caches are emptied before each), so the overhead is paired
+            untraced, segments = Segment(w, traced=False), [Segment(w, traced=True)]
+            while min(untraced.busy_s, segments[0].busy_s) < args.seconds / 2 and \
+                    time.monotonic() - runner.started <= RUN_DEADLINE_S:
+                items = runner.next_round(w)
+                runner.round(untraced, items)
+                runner.round(segments[0], items)
             for other in WORKLOADS:
                 if other != w:
                     segments.append(Segment(other, traced=True))
