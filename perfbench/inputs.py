@@ -109,13 +109,13 @@ class InputStream:
     # the input classes of the workloads; each returns (n, arcs)
 
     def float_pipeline(self) -> tuple:
-        """Alternately weights {1/2, 1, 2} at n = 4..6 and unit weights at n = 6..8."""
+        """Alternately weights {1/2, 1, 2} at n = 4..5 and unit weights at n = 6..7."""
         k = self._next("float")
         j = k // 2
-        p = DENSITIES[(j // 3) % len(DENSITIES)]
+        p = DENSITIES[(j // 2) % len(DENSITIES)]
         if k % 2 == 0:
-            return self._random(4 + j % 3, p, WEIGHTS)
-        return self._random(6 + j % 3, p, UNIT)
+            return self._random(4 + j % 2, p, WEIGHTS)
+        return self._random(6 + j % 2, p, UNIT)
 
     def conditions(self) -> tuple:
         """Unit weights at n = 4..6."""
@@ -132,9 +132,9 @@ class InputStream:
         return self._counted(4 + k % 2, 4 + (k // 2) % 6, SUB_UNIT)
 
     def score_basis(self) -> tuple:
-        """Weights {1/2, 1, 2}, n = 4..6, 3..12 arcs."""
+        """Weights {1/2, 1, 2}, n = 4..5, 3..12 arcs."""
         k = self._next("score_basis")
-        return self._counted(4 + k % 3, 3 + (k // 3) % 10, WEIGHTS)
+        return self._counted(4 + k % 2, 3 + (k // 2) % 10, WEIGHTS)
 
     def exact_stack(self) -> tuple:
         """Weights {1/2, 1, 2} at n = 10..16 with 2n arcs."""
@@ -146,8 +146,8 @@ class InputStream:
         return self._random(6 + self._next("threshold") % 7, 0.2, UNIT)
 
     def strong(self) -> tuple:
-        """Strongly connected, weights {1/2, 1, 2}, n = 4..6, at most 12 arcs."""
+        """Strongly connected, weights {1/2, 1, 2}, n = 4..5, at most 12 arcs."""
         k = self._next("strong")
-        n = 4 + k % 3
-        extra = (k // 3) % (13 - n)
+        n = 4 + k % 2
+        extra = (k // 2) % (13 - n)
         return self.fresh(lambda r: (n, strong_arcs(r, n, extra, WEIGHTS)))
