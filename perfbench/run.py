@@ -1,6 +1,6 @@
 """forestcalc benchmark: four checked workloads, end-to-end and per-layer metrics.
 
-    python3 perfbench/run.py --workload analyse --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload analyse --seed 1 --seconds 20 --trace 0
 
 Run from the root of a checkout.  The program is imported from the
 checkout's src/ (never from an installed copy); without it the run exits 2
@@ -34,7 +34,7 @@ OUT = ROOT / ".perfbench_out"
 
 WORKLOADS = ("analyse", "conditions", "ground-truth", "cli")
 MIN_OPS = 100            # p90 then has at least ten samples beyond it
-SETUP_LAUNCHES = 11      # fresh interpreters timed per run for setup_s
+SETUP_LAUNCHES = 9       # fresh interpreters timed per run for setup_s
 IMPORT_LAUNCHES = 5      # fresh interpreters timed per traced run for cli.import_ms
 ROUND_TIMEOUT_S = 120
 RUN_DEADLINE_S = 150     # no new round starts after this; the run ends well within 180 s
