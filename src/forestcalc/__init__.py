@@ -1,9 +1,9 @@
 """forestcalc: spanning rooted forest matrices of weighted digraphs.
 
-Counts and classifies spanning diverging forests through a Laplacian
-recurrence, cross-checks everything against exhaustive enumeration, and
-applies the matrices to reachability analysis, source-knot detection,
-vertex proximity, Markov-chain limits, and ranking.
+Computes the forest matrices J(tau) and Jbar of the column Laplacian and
+the paper's k-arc forest recurrence, cross-checks everything against
+exhaustive enumeration, and applies the matrices to reachability analysis,
+source-knot detection, vertex proximity, Markov-chain limits, and ranking.
 """
 
 from .digraph import (

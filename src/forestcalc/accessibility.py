@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import forest_stack, max_forest_matrix, parametric_matrices
+from .calculus import forest_stack, max_forest_matrix, resolvent
 from .digraph import Digraph, increase_arc, mediates, reachability_bfs, reverse
-from .laplacian import column_laplacian
-from .structure import sign_pattern
+from .structure import support
 
 STRICT_TOL = 1e-10
 PERTURBATION_STEPS = (0.1, 1.0)
@@ -72,14 +71,15 @@ class ConditionReport:
 
 
 def out_accessibility(g: Digraph, tau: float) -> ProximityMatrix:
-    """Relative weight of i -> j connections among the out-connections of i."""
-    if tau != math.inf and tau <= 0:
-        raise ValueError(f"tau must be positive or infinity, got {tau}")
+    """Relative weight of i -> j connections among the out-connections of i.
+
+    tau is positive and finite, or math.inf for the limiting measure Jbar.
+    """
+    stack = forest_stack(g)
     if tau == math.inf:
-        entries = np.asarray(max_forest_matrix(forest_stack(g)).entries, dtype=float)
+        entries = np.asarray(max_forest_matrix(stack).entries, dtype=float)
     else:
-        pm = parametric_matrices(forest_stack(g), column_laplacian(g), tau)
-        entries = np.asarray(pm.j_tau, dtype=float)
+        entries = resolvent(stack.lap, tau)
     return ProximityMatrix(entries, "out", tau)
 
 
@@ -177,7 +177,7 @@ def _check_reachability(g, p, direction, tau, variant, mode):
             f"or 'both', got {variant!r}"
         )
     reach = reachability_bfs(g)
-    positive = sign_pattern(p)
+    positive = support(p)
     for i in range(g.n):
         for j in range(g.n):
             if "forward" in parts and positive[i, j] == 0 and reach[i, j] == 1:

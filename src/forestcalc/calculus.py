@@ -1,36 +1,39 @@
-"""Forest-matrix stack from the Laplacian recurrence, and derived matrices.
+"""Forest matrices of a column Laplacian L: J(tau), Jbar and the recurrence stack.
+
+J(tau) = (I + tau L)^{-1} is one linear solve.  Jbar, the normalized matrix
+of maximum forests, is the eigenprojection onto ker L along range L, built
+from one right and one left null vector per source knot (Agaev and
+Chebotarev 2000; Chebotarev and Agaev 2002).
 
 The k-arc forest matrices Q_k and their total weights sigma_k satisfy
 
     Q_0 = I,   sigma_{k+1} = tr(L Q_k) / (k + 1),   Q_{k+1} = sigma_{k+1} I - L Q_k,
 
-with L the column Laplacian.  sigma_k grows combinatorially, so the loop is
-run on the normalized matrices J_k = Q_k / sigma_k and the consecutive ratios
-rho_k = sigma_k / sigma_{k-1}:
+run on the normalized J_k = Q_k / sigma_k and rho_k = sigma_k / sigma_{k-1}:
 
     rho_{k+1} = tr(L J_k) / (k + 1),   J_{k+1} = I - (L J_k) / rho_{k+1}.
 
-The iteration stops at the first vanishing ratio; the last layer J_m is the
-column-stochastic projection onto the maximum-forest structure.
+The stop rule is structural: maximum forests have m = n - d' arcs, d' the
+number of source knots, so the recurrence runs exactly m steps; J_m = Jbar.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .digraph import Digraph, reverse, source_knots
+from . import exact as exact_la
+from .digraph import Arc, Digraph, SourceKnotSet, reverse, source_knots
 from .laplacian import LaplacianMatrix, column_laplacian
-
-ZERO_RATIO_RTOL = 1e-12
 
 
 class RecurrenceBreakdownError(ArithmeticError):
-    """Negative forest weight appeared beyond roundoff; the float recurrence
-    has lost the structure and the exact mode should be used instead."""
+    """A forest weight ratio that must be positive was not; the float
+    recurrence has lost the structure and the exact mode should be used."""
 
 
 def _identity(n: int, exact: bool) -> np.ndarray:
@@ -42,27 +45,144 @@ def _identity(n: int, exact: bool) -> np.ndarray:
     return np.eye(n)
 
 
+def _solve(a: np.ndarray, b: np.ndarray, exact: bool) -> np.ndarray:
+    if exact:
+        return np.array(exact_la.solve(a.tolist(), b.tolist()), dtype=object)
+    return np.linalg.solve(a, b)
+
+
+def finite_tau(tau):
+    """Return tau when 0 < tau < inf; raise ValueError otherwise, NaN included."""
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    return tau
+
+
+def _scaled(lap: LaplacianMatrix, tau) -> tuple:
+    """(tau, I, I + tau L) with tau validated and in the arithmetic of lap."""
+    finite_tau(tau)
+    tau = Fraction(str(tau)) if lap.exact else float(tau)
+    eye = _identity(lap.n, lap.exact)
+    return tau, eye, eye + tau * lap.entries
+
+
+def resolvent(lap: LaplacianMatrix, tau) -> np.ndarray:
+    """J(tau) = (I + tau L)^{-1}, from one solve of (I + tau L) X = I.
+
+    I + tau L is a strictly column-diagonally-dominant M-matrix, so the LU
+    factorization swaps no rows and no sum in it cancels: an entry of the
+    result is zero exactly when no path joins its vertices.
+    """
+    _, eye, system = _scaled(lap, tau)
+    return _solve(system, eye, lap.exact)
+
+
+def _pattern_knots(lap: LaplacianMatrix) -> SourceKnotSet:
+    """Source knots of the digraph formed by the off-diagonal nonzeros of L."""
+    one = Fraction(1)
+    arcs = (Arc(int(i) + 1, int(j) + 1, one) for i, j in zip(*np.nonzero(lap.entries)) if i != j)
+    return source_knots(Digraph(lap.n, tuple(arcs)))
+
+
+def _eigenprojection(lap: LaplacianMatrix, knots: SourceKnotSet) -> np.ndarray:
+    """Jbar = X Y^T, the projection onto ker L along range L.
+
+    X: each knot's representative (its smallest vertex) gets weight 1 and the
+    knot's other vertices solve L x = 0 on their rows; columns are then
+    scaled to sum 1.  Y: 1 on its knot, and on the vertices U outside the
+    knots y_U^T = -y_K^T L_KU L_UU^{-1}.  L_UU is a column-diagonally-dominant
+    M-matrix whose inverse is nonnegative, so Y carries exact zeros where a
+    knot does not reach.  The rows of Y sum to 1 (the all-ones vector is a
+    left null vector); rescaling them removes the drift of the solve.
+    """
+    L, n, exact = lap.entries, lap.n, lap.exact
+    members = [sorted(v - 1 for v in knot) for knot in knots.knots]
+    reps = [m[0] for m in members]
+    rest = [v for m in members for v in m[1:]]
+    inside = [v for m in members for v in m]
+    outside = [v for v in range(n) if v + 1 not in knots.union]
+    shape = (n, knots.d_prime)
+    x = np.full(shape, Fraction(0), dtype=object) if exact else np.zeros(shape)
+    y = x.copy()
+    for s, m in enumerate(members):
+        x[m[0], s] = 1
+        y[m, s] = 1
+    if rest:
+        x[rest] = _solve(L[np.ix_(rest, rest)], -L[np.ix_(rest, reps)], exact)
+    x = x / x.sum(axis=0)
+    if outside:
+        inverse = _solve(L[np.ix_(outside, outside)], _identity(len(outside), exact), exact)
+        absorbed = (-(y[inside].T @ L[np.ix_(inside, outside)]) @ inverse).T
+        y[outside] = absorbed / absorbed.sum(axis=1, keepdims=True)
+    return x @ y.T
+
+
+def _recurrence(lap: LaplacianMatrix, m: int) -> tuple[tuple, tuple]:
+    """J_0..J_m and rho_1..rho_m; raises on the first ratio that is not positive."""
+    L = lap.entries
+    eye = _identity(lap.n, lap.exact)
+    j_matrices, rhos = [eye], []
+    for k in range(m):
+        product = L @ j_matrices[-1]
+        rho = np.trace(product) / (k + 1)
+        if not rho > 0:
+            raise RecurrenceBreakdownError(f"weight ratio rho_{k + 1} = {rho} is not positive")
+        j_matrices.append(eye - product / rho)
+        rhos.append(rho)
+    return tuple(j_matrices), tuple(rhos)
+
+
 @dataclass(frozen=True, eq=False)
 class ForestMatrixStack:
-    """Normalized forest matrices J_0..J_m plus the weight ratios rho_1..rho_m.
+    """Memoised view of one column Laplacian.
 
-    The raw sigma_k and Q_k are reconstructed on demand; m is the largest
-    arc count with nonvanishing total forest weight, and n - m equals the
-    number of trees in any maximum forest.
+    m, the arc count of the maximum forests, is n - d' with d' the number of
+    source knots.  The knots and Jbar are computed on first use; the
+    normalized layers J_0..J_m with the ratios rho_1..rho_m, and from them
+    the raw sigma_k and Q_k, only when one of them is read.
     """
 
-    n: int
-    j_matrices: tuple[np.ndarray, ...]
-    rhos: tuple
-    exact: bool
+    lap: LaplacianMatrix
+
+    def __post_init__(self):
+        if self.lap.orientation != "column":
+            raise ValueError("forest matrices need the column Laplacian")
 
     @property
-    def m(self) -> int:
-        return len(self.j_matrices) - 1
+    def n(self) -> int:
+        return self.lap.n
+
+    @property
+    def exact(self) -> bool:
+        return self.lap.exact
+
+    @cached_property
+    def knots(self) -> SourceKnotSet:
+        return _pattern_knots(self.lap)
 
     @property
     def d_prime(self) -> int:
-        return self.n - self.m
+        return self.knots.d_prime
+
+    @property
+    def m(self) -> int:
+        return self.n - self.d_prime
+
+    @cached_property
+    def _max_forest(self) -> "MaxForestMatrix":
+        return MaxForestMatrix(_eigenprojection(self.lap, self.knots))
+
+    @cached_property
+    def _layers(self) -> tuple[tuple, tuple]:
+        return _recurrence(self.lap, self.m)
+
+    @property
+    def j_matrices(self) -> tuple[np.ndarray, ...]:
+        return self._layers[0]
+
+    @property
+    def rhos(self) -> tuple:
+        return self._layers[1]
 
     @cached_property
     def sigmas(self) -> tuple:
@@ -102,43 +222,17 @@ class MaxForestMatrix:
 
 
 def forest_recurrence(lap: LaplacianMatrix) -> ForestMatrixStack:
-    """Run the normalized recurrence until the forest weights vanish."""
-    if lap.orientation != "column":
-        raise ValueError("forest recurrence needs the column Laplacian")
-    L = lap.entries
-    n = lap.n
-    exact = lap.exact
-    eye = _identity(n, exact)
-    j_matrices = [eye]
-    rhos: list = []
-    jk = eye
-    for k in range(n):
-        product = L @ jk
-        rho = np.trace(product) / (k + 1)
-        if exact:
-            if rho < 0:
-                raise RecurrenceBreakdownError(f"negative weight ratio {rho} in exact mode")
-            if rho == 0:
-                break
-        else:
-            cutoff = ZERO_RATIO_RTOL * n
-            if rho < -cutoff:
-                raise RecurrenceBreakdownError(
-                    f"weight ratio {rho} fell below -{cutoff:.3e}; "
-                    "consider the exact-arithmetic mode"
-                )
-            if rho <= cutoff:
-                break
-        jk = eye - product / rho
-        j_matrices.append(jk)
-        rhos.append(rho)
-    return ForestMatrixStack(n, tuple(j_matrices), tuple(rhos), exact)
+    """Stack of lap with its layers computed now: exactly m = n - d' steps,
+    d' read from the off-diagonal pattern of lap."""
+    stack = ForestMatrixStack(lap)
+    stack.j_matrices  # runs the recurrence, so a breakdown raises here
+    return stack
 
 
 @lru_cache(maxsize=None)
 def forest_stack(g: Digraph, exact: bool = False) -> ForestMatrixStack:
     """Forest stack of a digraph (memoised; column Laplacian built internally)."""
-    return forest_recurrence(column_laplacian(g, exact=exact))
+    return ForestMatrixStack(column_laplacian(g, exact=exact))
 
 
 def in_forest_stack(g: Digraph, exact: bool = False) -> ForestMatrixStack:
@@ -152,61 +246,36 @@ def in_forest_stack(g: Digraph, exact: bool = False) -> ForestMatrixStack:
 
 
 def forest_dimension(stack: ForestMatrixStack, g: Digraph | None = None) -> int:
-    """Tree count of the maximum forests, n - m.
+    """Tree count of the maximum forests, n - m: the number of source knots.
 
-    When the digraph is supplied, the structural source-knot count is
-    cross-checked; a mismatch means the recurrence tolerances failed.
+    ``g`` is accepted for compatibility; the count is structural already.
     """
-    d = stack.d_prime
-    if g is not None:
-        structural = source_knots(g).d_prime
-        if structural != d:
-            raise ArithmeticError(
-                f"algebraic dimension {d} != structural source-knot count {structural}"
-            )
-    return d
+    return stack.d_prime
 
 
 def parametric_matrices(stack: ForestMatrixStack, lap: LaplacianMatrix, tau) -> ParametricForestMatrix:
-    """Evaluate Q(tau) = sum Q_k tau^k and J(tau) = Q(tau) / sigma(tau).
+    """J(tau) = (I + tau L)^{-1}, sigma(tau) = det(I + tau L) and Q(tau) =
+    sigma(tau) J(tau).
 
-    Also verifies J(tau) (I + tau L) = I, reconciling the polynomial route
-    with the resolvent route.
+    In float arithmetic J(tau) (I + tau L) = I is checked before returning.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
     if lap.exact != stack.exact:
         raise ValueError("stack and Laplacian must share the arithmetic mode")
-    if stack.exact:
-        tau = tau if isinstance(tau, Fraction) else Fraction(str(tau))
+    j_tau = resolvent(lap, tau)
+    tau, eye, system = _scaled(lap, tau)
+    if lap.exact:
+        sigma_tau = exact_la.determinant(system.tolist())
     else:
-        tau = float(tau)
-    coeffs = []
-    power = Fraction(1) if stack.exact else 1.0
-    for sigma in stack.sigmas:
-        coeffs.append(sigma * power)
-        power = power * tau
-    total = sum(coeffs)
-    j_tau = sum((c / total) * j for c, j in zip(coeffs, stack.j_matrices))
-    q_tau = total * j_tau
-    L = lap.entries
-    eye = _identity(stack.n, stack.exact)
-    residual = j_tau @ (eye + tau * L) - eye
-    if stack.exact:
-        if any(x != 0 for x in residual.flat):
-            raise ArithmeticError("exact parametric matrix failed the inverse identity")
-    else:
-        scale = max(1.0, float(tau) * float(np.abs(L).max()))
-        if float(np.abs(residual).max()) > 1e-8 * scale * stack.n:
-            raise ArithmeticError(
-                "parametric matrix failed the inverse identity beyond tolerance"
-            )
-    return ParametricForestMatrix(tau, q_tau, total, j_tau)
+        sigma_tau = float(np.linalg.det(system))
+        residual = float(np.abs(j_tau @ system - eye).max())
+        if residual > 1e-8 * max(1.0, float(tau) * float(np.abs(lap.entries).max())) * lap.n:
+            raise ArithmeticError("parametric matrix failed the inverse identity beyond tolerance")
+    return ParametricForestMatrix(tau, sigma_tau * j_tau, sigma_tau, j_tau)
 
 
 def max_forest_matrix(stack: ForestMatrixStack) -> MaxForestMatrix:
-    """Top layer of the stack: Q_m / sigma_m."""
-    return MaxForestMatrix(stack.j_matrices[-1])
+    """Jbar, the eigenprojection of the stack's Laplacian; equals Q_m / sigma_m."""
+    return stack._max_forest
 
 
 def forest_matrix_from_powers(stack: ForestMatrixStack, lap: LaplacianMatrix, k: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from .accessibility import (
     out_accessibility,
     small_tau_monotonicity_probe,
 )
-from .calculus import forest_stack, max_forest_matrix, forest_dimension
+from .calculus import finite_tau, forest_stack, max_forest_matrix, forest_dimension
 from .digraph import Digraph, load_digraph, source_knots
 from .markov import cesaro_limit, dissemination_estimate, inverse_corresponding_chain, verify_tree_theorem
 from .ranking import daniels_scores_strong, generalized_borda, mean_score, rank_order
@@ -100,37 +100,25 @@ def _cmd_forests(args) -> dict:
     return doc
 
 
-def _structure_doc(command: str, args) -> dict:
+def _cmd_structure(args) -> dict:
     g = _load(args.input)
-    stack = forest_stack(g)
+    tau = finite_tau(args.tau)
     sk = source_knots(g)
-    doc = _envelope(command, {"input": args.input, "tau": args.tau})
+    doc = _envelope(args.command, {"input": args.input, "tau": tau})
     doc.update(
         {
             "knots": [sorted(knot) for knot in sk.knots],
             "d_prime": sk.d_prime,
-            "reachability": reachability_from_parametric(g, args.tau).tolist(),
-            "top_reachability": top_reachability(max_forest_matrix(stack)).entries.tolist(),
+            "reachability": reachability_from_parametric(g, tau).tolist(),
+            "top_reachability": top_reachability(max_forest_matrix(forest_stack(g))).entries.tolist(),
         }
     )
     return doc
 
 
-def _cmd_reach(args) -> dict:
-    return _structure_doc("reach", args)
-
-
-def _cmd_knots(args) -> dict:
-    return _structure_doc("knots", args)
-
-
 def _parse_tau(text: str) -> float:
-    if text in ("inf", "infinity"):
-        return math.inf
     tau = float(text)
-    if tau <= 0:
-        raise ValueError(f"tau must be positive or 'inf', got {text}")
-    return tau
+    return tau if tau == math.inf else finite_tau(tau)
 
 
 def _cmd_access(args) -> dict:
@@ -168,7 +156,7 @@ def _cmd_rank(args) -> dict:
     params = {
         "input": args.input,
         "method": args.method,
-        "tau": args.tau,
+        "tau": finite_tau(args.tau),
         "degrees": args.degrees,
     }
     if args.method == "mean-jbar":
@@ -247,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("forests", _cmd_forests, "forest weights, dimension, and the projection matrix")
-    for name, func in (("reach", _cmd_reach), ("knots", _cmd_knots)):
-        p = add(name, func, "reachability and source-knot report")
+    for name in ("reach", "knots"):
+        p = add(name, _cmd_structure, "reachability and source-knot report")
         p.add_argument("--tau", type=float, default=1.0)
     p = add("access", _cmd_access, "accessibility measures and condition checks")
     p.add_argument("--tau", default="1", help="positive real or 'inf'")

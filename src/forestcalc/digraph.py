@@ -7,7 +7,7 @@ rounding; float consumers convert on demand via :meth:`Digraph.weight_matrix`.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -179,6 +179,14 @@ class SourceKnotSet:
     def as_sets(self) -> set[frozenset[int]]:
         return set(self.knots)
 
+    @classmethod
+    def from_reaches(cls, knots, reaches) -> "SourceKnotSet":
+        """Knots with their exclusive reach: the vertices of each knot's reach
+        that no other knot reaches."""
+        counts = Counter(v for reach in reaches for v in reach)
+        exclusive = tuple(frozenset(v for v in reach if counts[v] == 1) for reach in reaches)
+        return cls(tuple(knots), exclusive, frozenset().union(*knots))
+
 
 def load_digraph(text: str) -> Digraph:
     """Parse an edge-list document.
@@ -339,16 +347,7 @@ def source_knots(g: Digraph) -> SourceKnotSet:
     knots = tuple(
         comp for i, comp in enumerate(cond.components) if i not in heads_with_in
     )
-    reaches = [reachable_from(g, knot) for knot in knots]
-    exclusive = []
-    for i, reach in enumerate(reaches):
-        others: set[int] = set()
-        for j, other in enumerate(reaches):
-            if j != i:
-                others |= other
-        exclusive.append(frozenset(reach - others))
-    union = frozenset().union(*knots) if knots else frozenset()
-    return SourceKnotSet(knots, tuple(exclusive), union)
+    return SourceKnotSet.from_reaches(knots, [reachable_from(g, knot) for knot in knots])
 
 
 def reachability_bfs(g: Digraph) -> np.ndarray:

@@ -19,9 +19,10 @@ from .calculus import forest_stack, max_forest_matrix
 from .digraph import Digraph
 from .laplacian import column_laplacian
 from .oracle import enumerate_out_forests
+from .ranking import mean_score
 
 
-class CesaroConvergenceError(RuntimeError):
+class CesaroConvergenceError(ArithmeticError):
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
         self.residual = residual
@@ -91,7 +92,7 @@ def cesaro_limit(chain: MarkovChain, tol: float = 1e-8, t_max: int = 2**40) -> C
     within tol.  All iterates stay convex combinations of stochastic
     matrices, which keeps the doubling numerically tame.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if t_max < 2:
         raise ValueError(f"t_max must be at least 2, got {t_max}")
@@ -121,11 +122,11 @@ def verify_tree_theorem(
     The transpose appears because P is row stochastic while the forest
     matrix is column stochastic.  Returns (within tolerance?, max deviation).
     """
-    lap = column_laplacian(g).entries
-    correspondence = np.eye(g.n) - chain.transition - chain.alpha * lap.T
+    stack = forest_stack(g)
+    correspondence = np.eye(g.n) - chain.transition - chain.alpha * stack.lap.entries.T
     if float(np.abs(correspondence).max()) > 1e-12:
         raise ValueError("chain does not inversely correspond to the digraph")
-    jbar = np.asarray(max_forest_matrix(forest_stack(g)).entries, dtype=float)
+    jbar = np.asarray(max_forest_matrix(stack).entries, dtype=float)
     deviation = float(np.abs(cesaro.matrix - jbar.T).max())
     return deviation <= tol, deviation
 
@@ -134,8 +135,7 @@ def uniform_start_distribution(g: Digraph) -> np.ndarray:
     """Limiting state distribution under a uniform start: mean of the
     maximum-forest matrix columns.  Cross-checked against the Cesaro limit
     of the default inversely corresponding chain."""
-    jbar = np.asarray(max_forest_matrix(forest_stack(g)).entries, dtype=float)
-    x = jbar @ np.full(g.n, 1.0 / g.n)
+    x = mean_score(g).values
     chain = inverse_corresponding_chain(g)
     limit = cesaro_limit(chain, tol=1e-8)
     via_chain = limit.matrix.T @ np.full(g.n, 1.0 / g.n)

@@ -15,10 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exact
-from .calculus import forest_stack, max_forest_matrix, parametric_matrices
+from .calculus import forest_stack, max_forest_matrix, resolvent
 from .digraph import Arc, Digraph, induced_subgraph, source_knots
-from .laplacian import column_laplacian, degrees
+from .laplacian import degrees
 from .oracle import MAX_VERTICES, enumerate_out_forests
 
 TIE_RTOL = 1e-10
@@ -66,9 +65,10 @@ def score_basis(g: Digraph) -> ScoreBasis:
     and orthogonality properties, and on enumeration-sized digraphs also the
     closed form through the knot's spanning-tree weights.
     """
-    sk = source_knots(g)
-    jbar = np.asarray(max_forest_matrix(forest_stack(g)).entries, dtype=float)
-    lap = column_laplacian(g).entries
+    stack = forest_stack(g)
+    sk = stack.knots
+    jbar = np.asarray(max_forest_matrix(stack).entries, dtype=float)
+    lap = stack.lap.entries
     columns = []
     reps = []
     for knot in sk.knots:
@@ -102,10 +102,10 @@ def mean_score(g: Digraph) -> ScoreVector:
     L x = 0; it equals the uniform-start limiting distribution of any
     inversely corresponding Markov chain.
     """
-    jbar = np.asarray(max_forest_matrix(forest_stack(g)).entries, dtype=float)
+    stack = forest_stack(g)
+    jbar = np.asarray(max_forest_matrix(stack).entries, dtype=float)
     values = jbar @ np.full(g.n, 1.0 / g.n)
-    lap = column_laplacian(g).entries
-    if float(np.abs(lap @ values).max()) > NULLSPACE_TOL:
+    if float(np.abs(stack.lap.entries @ values).max()) > NULLSPACE_TOL:
         raise ArithmeticError("mean score failed the nullspace residual check")
     return ScoreVector(values, "mean-jbar", {})
 
@@ -113,41 +113,16 @@ def mean_score(g: Digraph) -> ScoreVector:
 def daniels_scores_strong(g: Digraph) -> ScoreVector:
     """Spanning-tree weight of each root, for strongly connected digraphs.
 
-    Computed exactly as the principal Laplacian minors (the matrix-tree
-    route), verified proportional to a maximum-forest column and, at
-    enumeration size, against direct tree enumeration.  Normalized to sum 1.
-    Raises for digraphs that are not strong: with several source knots no
-    single score ray exists and the caller should use the basis or the mean.
+    By the matrix-tree theorem this is the single column of the score basis,
+    which already sums to 1 and, at enumeration size, is checked against the
+    enumerated tree weights.  Raises for digraphs that are not strong: with
+    several source knots no single score ray exists and the caller should
+    use the basis or the mean.
     """
     sk = source_knots(g)
     if sk.d_prime != 1 or len(sk.knots[0]) != g.n:
         raise ValueError("spanning-tree scores require a strongly connected digraph")
-    lap = column_laplacian(g, exact=True).entries
-    minors = []
-    for j in range(g.n):
-        minor = [
-            [lap[r, c] for c in range(g.n) if c != j]
-            for r in range(g.n)
-            if r != j
-        ]
-        minors.append(exact.determinant(minor))
-    total = sum(minors, Fraction(0))
-    if total <= 0:
-        raise ArithmeticError("spanning-tree weights vanished on a strong digraph")
-    values = np.array([float(m / total) for m in minors])
-    jbar = np.asarray(max_forest_matrix(forest_stack(g)).entries, dtype=float)
-    column = jbar[:, 0]
-    if float(np.abs(values / values.sum() - column / column.sum()).max()) > 1e-9:
-        raise ArithmeticError("spanning-tree scores disagree with the forest projection")
-    if g.n <= MAX_VERTICES:
-        fs = enumerate_out_forests(g)
-        enumerated = {v: Fraction(0) for v in g.vertices}
-        for tree in fs.forests(g.n - 1):
-            (root,) = tree.roots
-            enumerated[root] += tree.weight
-        if any(enumerated[j + 1] != minors[j] for j in range(g.n)):
-            raise ArithmeticError("spanning-tree scores disagree with enumeration")
-    return ScoreVector(values, "daniels", {})
+    return ScoreVector(score_basis(g).columns[0], "daniels", {})
 
 
 def _symmetrized(g: Digraph) -> Digraph:
@@ -173,9 +148,7 @@ def generalized_borda(g: Digraph, tau: float, degree_kind: str = "weighted") -> 
     prefix = "weighted" if degree_kind == "weighted" else "arc-count"
     out_deg = degrees(g, f"{prefix}-outdegree").values
     in_deg = degrees(g, f"{prefix}-indegree").values
-    sym = _symmetrized(g)
-    pm = parametric_matrices(forest_stack(sym), column_laplacian(sym), tau)
-    values = np.asarray(pm.j_tau, dtype=float) @ (out_deg - in_deg)
+    values = resolvent(forest_stack(_symmetrized(g)).lap, tau) @ (out_deg - in_deg)
     return ScoreVector(values, "generalized-borda", {"tau": tau, "degrees": degree_kind})
 
 

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import exact
-from .calculus import MaxForestMatrix, forest_stack, parametric_matrices, ForestMatrixStack
+from .calculus import MaxForestMatrix, forest_stack, resolvent, ForestMatrixStack
 from .digraph import Digraph, SourceKnotSet, reachable_from, source_knots
 from .laplacian import column_laplacian
 
@@ -35,13 +34,18 @@ def sign_pattern(matrix) -> np.ndarray:
     return (m > threshold).astype(int)
 
 
+def support(matrix) -> np.ndarray:
+    """0/1 pattern of the positive entries of a solved J(tau) or Jbar.
+
+    Their solves neither swap rows nor cancel, so a structural zero comes
+    out as an exact zero and no threshold is needed.
+    """
+    return (np.asarray(matrix, dtype=float) > 0).astype(int)
+
+
 def reachability_from_parametric(g: Digraph, tau: float) -> np.ndarray:
     """Reachability as the sign pattern of the parametric forest matrix."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    stack = forest_stack(g)
-    pm = parametric_matrices(stack, column_laplacian(g), tau)
-    return sign_pattern(pm.j_tau)
+    return support(resolvent(forest_stack(g).lap, tau))
 
 
 def reachability_from_top_layers(stack: ForestMatrixStack) -> np.ndarray:
@@ -57,7 +61,7 @@ def reachability_from_top_layers(stack: ForestMatrixStack) -> np.ndarray:
 
 
 def top_reachability(max_forest: MaxForestMatrix) -> TopReachabilityMatrix:
-    return TopReachabilityMatrix(sign_pattern(max_forest.entries))
+    return TopReachabilityMatrix(support(max_forest.entries))
 
 
 def structural_top_reachability(g: Digraph) -> TopReachabilityMatrix:
@@ -76,7 +80,7 @@ def source_knots_from_matrix(max_forest: MaxForestMatrix) -> SourceKnotSet:
     Vertices i, j share a knot exactly when both (i, j) and (j, i) entries
     are positive; knot membership itself shows on the diagonal.
     """
-    rhat = sign_pattern(max_forest.entries)
+    rhat = support(max_forest.entries)
     n = rhat.shape[0]
     mutual = rhat * rhat.T
     in_knot = [i for i in range(n) if rhat[i, i]]
@@ -89,15 +93,7 @@ def source_knots_from_matrix(max_forest: MaxForestMatrix) -> SourceKnotSet:
         remaining -= {v - 1 for v in knot}
     knots.sort(key=min)
     reaches = [frozenset(j + 1 for j in range(n) if rhat[min(knot) - 1, j]) for knot in knots]
-    exclusive = []
-    for i, reach in enumerate(reaches):
-        others: set[int] = set()
-        for j, other in enumerate(reaches):
-            if j != i:
-                others |= other
-        exclusive.append(frozenset(reach - others))
-    union = frozenset().union(*knots) if knots else frozenset()
-    return SourceKnotSet(tuple(knots), tuple(exclusive), union)
+    return SourceKnotSet.from_reaches(knots, reaches)
 
 
 def top_reachability_by_threshold(g: Digraph, limit: int = EXACT_LIMIT) -> TopReachabilityMatrix:
@@ -112,21 +108,7 @@ def top_reachability_by_threshold(g: Digraph, limit: int = EXACT_LIMIT) -> TopRe
         raise ValueError("threshold test requires all arc weights equal to 1")
     if g.n > limit:
         raise ValueError(f"exact arithmetic limited to {limit} vertices, got {g.n}")
-    n = g.n
-    L = [[Fraction(0)] * n for _ in range(n)]
-    lap = column_laplacian(g, exact=True).entries
-    for i in range(n):
-        for j in range(n):
-            L[i][j] = lap[i, j]
-    eye = exact.identity(n)
-    i_plus_l = [[eye[i][j] + L[i][j] for j in range(n)] for i in range(n)]
-    sigma = exact.determinant(i_plus_l)
-    tau = sigma * sigma
-    system = [[eye[i][j] + tau * L[i][j] for j in range(n)] for i in range(n)]
-    j_tau = exact.solve(system, eye)
-    cutoff = Fraction(1) / sigma
-    entries = np.array(
-        [[0 if j_tau[i][j] < cutoff else 1 for j in range(n)] for i in range(n)],
-        dtype=int,
-    )
-    return TopReachabilityMatrix(entries)
+    lap = column_laplacian(g, exact=True)
+    sigma = exact.determinant((np.eye(g.n, dtype=int) + lap.entries).tolist())
+    j_tau = resolvent(lap, sigma * sigma)
+    return TopReachabilityMatrix(np.array(j_tau >= 1 / sigma, dtype=int))

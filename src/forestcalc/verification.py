@@ -7,8 +7,6 @@ and reports one pass/fail entry.  Sized for enumeration-scale digraphs.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .accessibility import in_accessibility, out_accessibility
@@ -20,16 +18,15 @@ from .calculus import (
     parametric_matrices,
 )
 from .digraph import Digraph, reachability_bfs, reverse, source_knots
-from .laplacian import column_laplacian
 from .markov import cesaro_limit, inverse_corresponding_chain, verify_tree_theorem
-from .oracle import MAX_VERTICES, enumerate_out_forests, forest_matrix
+from .oracle import MAX_VERTICES, enumerate_out_forests, forest_matrix, normalized_forest_matrix
 from .ranking import daniels_scores_strong, mean_score, score_basis
 from .structure import (
     reachability_from_parametric,
     reachability_from_top_layers,
-    sign_pattern,
     source_knots_from_matrix,
     structural_top_reachability,
+    support,
     top_reachability,
     top_reachability_by_threshold,
 )
@@ -60,7 +57,7 @@ def verify_suite(g: Digraph) -> dict:
         raise ValueError(f"verification needs n <= {MAX_VERTICES}, got {g.n}")
     checks: list[dict] = []
     stack = forest_stack(g)
-    lap = column_laplacian(g)
+    lap = stack.lap
     fs = enumerate_out_forests(g)
     jbar = np.asarray(max_forest_matrix(stack).entries, dtype=float)
     sk = source_knots(g)
@@ -84,16 +81,16 @@ def verify_suite(g: Digraph) -> dict:
     )
     checks.append(_check("column-sums-stochastic", col_ok))
 
+    # the resolvent route against the polynomial sum_k tau^k Q_k of the layers
     two_route = True
-    eye = np.eye(n)
     for tau in PARAMETRIC_TAUS:
         pm = parametric_matrices(stack, lap, tau)
-        system = eye + tau * lap.entries
-        det = float(np.linalg.det(system))
-        adj = det * np.linalg.inv(system)
-        scale = max(1.0, abs(det))
-        two_route &= abs(pm.sigma_tau - det) <= 1e-8 * scale
-        two_route &= float(np.abs(np.asarray(pm.q_tau, dtype=float) - adj).max()) <= 1e-8 * scale
+        powers = [tau**k for k in range(stack.m + 1)]
+        sigma_poly = sum(p * s for p, s in zip(powers, stack.sigmas))
+        q_poly = sum(p * q for p, q in zip(powers, stack.q_matrices))
+        scale = max(1.0, abs(sigma_poly))
+        two_route &= abs(pm.sigma_tau - sigma_poly) <= 1e-8 * scale
+        two_route &= float(np.abs(pm.q_tau - q_poly).max()) <= 1e-8 * scale
     checks.append(_check("parametric-two-route", two_route))
 
     ann = max(
@@ -109,7 +106,10 @@ def verify_suite(g: Digraph) -> dict:
     rank_lap = _numeric_rank(lap.entries)
     checks.append(_check("ranks", rank_jbar == d_prime and rank_lap == n - d_prime,
                          f"rank Jbar {rank_jbar}, rank L {rank_lap}"))
-    checks.append(_check("dimension-structural-agreement", stack.d_prime == d_prime))
+    # the layer after J_m must vanish: rho_{m+1} = tr(L J_m) / (m + 1)
+    next_rho = float(np.trace(lap.entries @ stack.j(stack.m))) / (stack.m + 1)
+    rho_m = float(stack.rhos[-1]) if stack.m else 1.0
+    checks.append(_check("dimension-structural-agreement", abs(next_rho) <= 1e-9 * n * rho_m))
 
     try:
         for k in range(stack.m + 1):
@@ -145,23 +145,11 @@ def verify_suite(g: Digraph) -> dict:
     p_out = out_accessibility(g, 1.0).entries
     p_in = in_accessibility(g, 1.0).entries
     dual_ok &= float(np.abs(p_out - in_accessibility(reverse(g), 1.0).entries.T).max()) <= 1e-12
-    fs_rev = enumerate_out_forests(reverse(g))
-    total = fs_rev.sigma_total
-    q_all = [[Fraction(0)] * n for _ in range(n)]
-    for forest in fs_rev.all_forests():
-        for j, root in forest.tree_assignment.items():
-            q_all[root - 1][j - 1] += forest.weight
-    p_in_oracle = np.array([[float(q_all[j][i] / total) for j in range(n)] for i in range(n)])
+    p_in_oracle = np.array(normalized_forest_matrix(enumerate_out_forests(reverse(g))), dtype=float).T
     dual_ok &= float(np.abs(p_in - p_in_oracle).max()) <= 1e-9
     checks.append(_check("duality", dual_ok))
 
-    knot_ok = True
-    knot_of = {v: knot for knot in sk.knots for v in knot}
-    pattern = sign_pattern(jbar)
-    for i in g.vertices:
-        for j in g.vertices:
-            expected = 1 if (i in sk.union and reach[i - 1, j - 1]) else 0
-            knot_ok &= pattern[i - 1, j - 1] == expected
+    knot_ok = np.array_equal(support(jbar), rhat)
     for knot, plus in zip(sk.knots, sk.exclusive_reach):
         knot_ok &= abs(sum(jbar[k - 1, k - 1] for k in knot) - 1.0) <= 1e-9
         for k in knot:

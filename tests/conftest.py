@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from forestcalc import Digraph
+from forestcalc import Digraph, load_digraph
 
 THREE_VERTEX_PAIRS = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
 RANDOM_SHAPES = ((4, 5), (4, 7), (5, 8), (5, 10), (6, 10), (6, 13))
@@ -44,6 +44,65 @@ def random_weighted_digraphs() -> list[Digraph]:
 
 def random_unit_digraphs() -> list[Digraph]:
     return [Digraph.build(n, arcs) for n, arcs in random_arc_sets()]
+
+
+def seeded_weighted_digraph(rng: random.Random, n: int, arc_count: int) -> Digraph:
+    """n vertices, arc_count distinct arcs drawn uniformly, weights {1/2, 1, 2}."""
+    arcs: set[tuple[int, int]] = set()
+    while len(arcs) < arc_count:
+        i, j = rng.randint(1, n), rng.randint(1, n)
+        if i != j:
+            arcs.add((i, j))
+    return Digraph.build(n, [(i, j, rng.choice(WEIGHT_CHOICES)) for i, j in sorted(arcs)])
+
+
+# Digraphs on which the stopping rule of the old recurrence failed.
+# WRONG_FROM_N8: weighted, n = 8; the old float stack found d' = 0 against 1.
+# ROUNDOFF_LAYER_N8: unit weights, n = 8; roundoff passed as a ninth layer (m = n).
+# MONOTONICITY_N6: a perturbed copy broke the old recurrence at tau = 1.
+WRONG_FROM_N8 = """8
+1 5 1/2
+1 7 2
+1 8 2
+2 1 1/2
+2 6 1/2
+3 1 1/2
+4 8 2
+5 4 1/2
+5 8 2
+6 8 1
+7 6 1
+8 1 2
+8 2 1/2
+"""
+ROUNDOFF_LAYER_N8 = "8\n" + "\n".join(
+    "1 3, 1 5, 1 7, 2 3, 2 5, 3 2, 3 5, 3 8, 5 3, 5 4, 6 4, 6 5, 7 1, 7 3, 7 5, 8 3, 8 5, 8 7".split(", ")
+)
+MONOTONICITY_N6 = """6
+1 5 1/2
+2 5 1/2
+3 4 1
+4 1 2
+4 5 1/2
+5 1 2
+5 3 1/2
+6 1 1/2
+"""
+UNIT_PATH6 = "6\n1 2\n2 3\n3 4\n4 5\n5 6\n"
+
+
+@pytest.fixture(scope="session")
+def recurrence_failures() -> dict[str, Digraph]:
+    return {
+        "wrong-from-n8": load_digraph(WRONG_FROM_N8),
+        "roundoff-layer-n8": load_digraph(ROUNDOFF_LAYER_N8),
+        "monotonicity-n6": load_digraph(MONOTONICITY_N6),
+    }
+
+
+@pytest.fixture
+def path6() -> Digraph:
+    return load_digraph(UNIT_PATH6)
 
 
 @pytest.fixture(scope="session")

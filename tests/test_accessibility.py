@@ -51,8 +51,20 @@ class TestMeasures:
         with pytest.raises(ValueError):
             out_accessibility(p3, 0.0)
 
+    @pytest.mark.parametrize("tau", [math.nan, -math.inf])
+    def test_rejects_nan_and_negative_infinity(self, p3, tau):
+        with pytest.raises(ValueError):
+            out_accessibility(p3, tau)
+        with pytest.raises(ValueError):
+            in_accessibility(p3, tau)
+
 
 class TestConditionReports:
+    def test_monotonicity_on_perturbation_that_broke_the_recurrence(self, recurrence_failures):
+        g = recurrence_failures["monotonicity-n6"]
+        report = check_condition(g, "monotonicity", direction="out", variant="A")
+        assert report.passed, report.witness
+
     def test_unknown_condition(self, p3):
         with pytest.raises(ValueError):
             check_condition(p3, "positivity")

@@ -1,4 +1,7 @@
+import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestcalc import (
+    Digraph,
+    ForestMatrixStack,
     RecurrenceBreakdownError,
     column_laplacian,
     dense_forest_matrix,
@@ -16,14 +21,19 @@ from forestcalc import (
     forest_recurrence,
     forest_stack,
     in_forest_stack,
+    load_digraph,
     max_forest_matrix,
     parametric_matrices,
     reverse,
     source_knots,
 )
 from forestcalc.laplacian import LaplacianMatrix, row_laplacian
+from forestcalc.structure import structural_top_reachability
 
+from conftest import seeded_weighted_digraph
 from test_digraph import digraphs
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 
 
 class TestRecurrence:
@@ -80,6 +90,23 @@ class TestRecurrence:
     def test_dimension_matches_structure(self, g):
         assert forest_dimension(forest_stack(g), g) == source_knots(g).d_prime
 
+    def test_structural_stop_on_old_failures(self, recurrence_failures):
+        # the old cutoff stopped early (wrong-from-n8) or let roundoff through
+        # as a layer m = n (roundoff-layer-n8)
+        for g in recurrence_failures.values():
+            stack = forest_recurrence(column_laplacian(g))
+            assert stack.m == g.n - source_knots(g).d_prime
+            assert len(stack.sigmas) == stack.m + 1
+            for got, sigma in zip(stack.sigmas, forest_stack(g, exact=True).sigmas):
+                assert abs(got - float(sigma)) <= 1e-10 * max(1.0, float(sigma))
+
+    def test_layers_run_only_when_read(self):
+        stack = ForestMatrixStack(column_laplacian(Digraph.build(3, [(1, 2), (2, 3), (3, 2)])))
+        max_forest_matrix(stack)
+        assert "_layers" not in vars(stack)
+        stack.sigmas
+        assert "_layers" in vars(stack)
+
 
 class TestParametric:
     def test_p3_at_one(self, p3):
@@ -111,6 +138,11 @@ class TestParametric:
         with pytest.raises(ValueError):
             parametric_matrices(forest_stack(p3), column_laplacian(p3), 0.0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_nan_and_infinite_tau(self, p3, tau):
+        with pytest.raises(ValueError):
+            parametric_matrices(forest_stack(p3), column_laplacian(p3), tau)
+
 
 class TestMaxForestMatrix:
     def test_p3(self, p3):
@@ -125,6 +157,37 @@ class TestMaxForestMatrix:
     def test_two_sources(self, two_sources):
         expected = np.array([[2, 0, 1], [0, 2, 1], [0, 0, 0]]) / 2
         assert np.allclose(max_forest_matrix(forest_stack(two_sources)).entries, expected)
+
+    def test_exact_projection_is_the_top_layer(self, three_vertex_corpus):
+        for g in three_vertex_corpus:
+            stack = forest_stack(g, exact=True)
+            assert max_forest_matrix(stack).entries.tolist() == stack.j(stack.m).tolist()
+
+    def test_entries_within_unit_interval_on_old_failures(self, recurrence_failures):
+        for g in recurrence_failures.values():
+            jbar = max_forest_matrix(forest_stack(g)).entries
+            assert jbar.min() >= 0.0 and jbar.max() <= 1.0
+
+    def test_independent_of_weight_scale(self):
+        text = (SAMPLES / "weighted.txt").read_text()
+        g = load_digraph(text)
+        scaled = Digraph.build(g.n, [(a.tail, a.head, a.weight * 10**6) for a in g.arcs])
+        unscaled = max_forest_matrix(forest_stack(g)).entries
+        assert np.abs(max_forest_matrix(forest_stack(scaled)).entries - unscaled).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [20, 50, 200])
+    def test_projection_identities_at_scale(self, n):
+        rng = random.Random(n)
+        for arc_count in (n, 2 * n, 3 * n):
+            g = seeded_weighted_digraph(rng, n, arc_count)
+            stack = forest_stack(g)
+            jbar = max_forest_matrix(stack).entries
+            lap = stack.lap.entries
+            assert np.abs(jbar @ jbar - jbar).max() <= 1e-12
+            assert np.abs(lap @ jbar).max() <= 1e-12
+            assert np.abs(jbar @ lap).max() <= 1e-12
+            assert np.abs(jbar.sum(axis=0) - 1.0).max() <= 1e-12
+            assert np.array_equal((jbar > 0).astype(int), structural_top_reachability(g).entries)
 
     def test_idempotent_and_annihilated(self, corpus):
         for g in corpus:

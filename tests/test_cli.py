@@ -3,9 +3,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from forestcalc import cli, load_digraph
+from forestcalc.structure import structural_top_reachability
+
+from conftest import ROUNDOFF_LAYER_N8, UNIT_PATH6, WRONG_FROM_N8
+
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
+COMMANDS = ("forests", "reach", "knots", "access", "rank", "markov", "simulate", "verify")
 
 
 def run_cli(*args, env_extra=None):
@@ -154,3 +161,59 @@ def test_verify_rejects_oversized_input(tmp_path):
     big.write_text("9\n1 2 1\n")
     proc = run_cli("verify", "--input", str(big))
     assert proc.returncode == 1
+
+
+def run_in_process(capsys, *args):
+    code = cli.main(list(args))
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("sample", sorted(p.name for p in SAMPLES.glob("*.txt")))
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_on_every_sample(capsys, command, sample):
+    code, doc = run_in_process(capsys, command, "--input", str(SAMPLES / sample))
+    if command == "simulate" and sample == "weighted.txt":
+        # dissemination needs arc weights in (0, 1]; weighted.txt has a 2
+        assert code == 1 and doc["error"]["type"] == "ValueError"
+    else:
+        assert code == 0, doc
+        assert doc["command"] == command
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("reach", "--tau", "nan"),
+        ("reach", "--tau", "inf"),
+        ("knots", "--tau", "0"),
+        ("rank", "--tau", "nan"),
+        ("access", "--tau", "nan"),
+        ("markov", "--tol", "nan"),
+    ],
+)
+def test_invalid_parameters_give_error_json(p3_path, args):
+    proc = run_cli(*args, "--input", p3_path)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "ValueError"
+
+
+def test_small_tau_reach_on_a_long_path(tmp_path):
+    path = tmp_path / "path6.txt"
+    path.write_text(UNIT_PATH6)
+    doc = run_json("reach", "--input", str(path), "--tau", "0.01")
+    assert doc["reachability"][0][5] == 1
+
+
+def test_projection_commands_on_old_recurrence_failures(tmp_path, capsys):
+    for name, text in (("wrong-from-n8", WRONG_FROM_N8), ("roundoff-layer-n8", ROUNDOFF_LAYER_N8)):
+        path = str(tmp_path / f"{name}.txt")
+        Path(path).write_text(text)
+        expected_top = structural_top_reachability(load_digraph(text)).entries
+        for args in (("forests",), ("rank",), ("access", "--tau", "inf"), ("knots",)):
+            code, doc = run_in_process(capsys, *args, "--input", path)
+            assert code == 0, (name, args, doc)
+            for key in ("jbar", "proximity"):
+                if key in doc:
+                    assert 0.0 <= np.min(doc[key]) and np.max(doc[key]) <= 1.0, (name, key)
+            if "top_reachability" in doc:
+                assert np.array_equal(np.array(doc["top_reachability"]), expected_top), name

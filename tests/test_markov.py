@@ -71,11 +71,14 @@ class TestCesaroLimit:
         chain = inverse_corresponding_chain(p3, 1.0)
         with pytest.raises(CesaroConvergenceError):
             cesaro_limit(chain, tol=1e-30, t_max=4)
+        assert issubclass(CesaroConvergenceError, ArithmeticError)
 
     def test_parameter_validation(self, p3):
         chain = inverse_corresponding_chain(p3)
         with pytest.raises(ValueError):
             cesaro_limit(chain, tol=0.0)
+        with pytest.raises(ValueError):
+            cesaro_limit(chain, tol=float("nan"))
         with pytest.raises(ValueError):
             cesaro_limit(chain, t_max=1)
 

@@ -152,6 +152,11 @@ class TestGeneralizedBorda:
         with pytest.raises(ValueError):
             generalized_borda(p3, 1.0, "total")
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0])
+    def test_rejects_bad_tau(self, p3, tau):
+        with pytest.raises(ValueError):
+            generalized_borda(p3, tau)
+
 
 class TestRankOrder:
     def test_tie_group(self):

@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,9 @@ from forestcalc import (
     top_reachability_by_threshold,
 )
 from forestcalc.structure import structural_top_reachability
+from forestcalc.verification import REACHABILITY_TAUS
+
+from conftest import seeded_weighted_digraph
 
 
 def jbar_of(g):
@@ -45,6 +51,25 @@ class TestParametricReachability:
     def test_rejects_nonpositive_tau(self, p3):
         with pytest.raises(ValueError):
             reachability_from_parametric(p3, -1.0)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0])
+    def test_rejects_nan_and_infinite_tau(self, p3, tau):
+        with pytest.raises(ValueError):
+            reachability_from_parametric(p3, tau)
+
+    def test_small_tau_keeps_long_paths(self, path6):
+        # J(0.01)[1, 6] is about 1e-10, far below any cutoff relative to the diagonal
+        assert reachability_from_parametric(path6, 0.01)[0, 5] == 1
+        assert np.array_equal(reachability_from_parametric(path6, 0.01), reachability_bfs(path6))
+
+    def test_matches_bfs_on_seeded_weighted_digraphs(self):
+        rng = random.Random(6)
+        for _ in range(200):
+            n = rng.randint(6, 7)
+            g = seeded_weighted_digraph(rng, n, rng.randint(n, 12))
+            r = reachability_bfs(g)
+            for tau in REACHABILITY_TAUS:
+                assert np.array_equal(reachability_from_parametric(g, tau), r)
 
 
 class TestTopLayerReachability:

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
 from forestcalc import Digraph, verify_suite
+
+from conftest import seeded_weighted_digraph
 
 
 def test_suite_passes_on_known_good_inputs(p3, cycle2, two_sources, edgeless4):
@@ -28,6 +32,22 @@ def test_suite_covers_the_identity_families(p3):
         "cesaro-tree-theorem",
         "score-basis",
     } <= names
+
+
+def test_small_tau_reachability_on_a_long_path(path6):
+    checks = {c["name"]: c["pass"] for c in verify_suite(path6)["checks"]}
+    assert checks["reachability-parametric"]
+    assert all(checks.values()), checks
+
+
+def test_suite_passes_on_seeded_weighted_digraphs():
+    # the first 25 of the 200 digraphs whose parametric reachability
+    # test_structure checks; the full suite on all 200 takes about 8 s
+    rng = random.Random(6)
+    for _ in range(25):
+        n = rng.randint(6, 7)
+        result = verify_suite(seeded_weighted_digraph(rng, n, rng.randint(n, 12)))
+        assert result["all_pass"], [c for c in result["checks"] if not c["pass"]]
 
 
 def test_threshold_check_only_on_unit_weights():
