@@ -42,6 +42,7 @@ from forestcalc import (
     verify_tree_theorem,
     dissemination_estimate,
 )
+from forestcalc.digraph import induced_subgraph
 from forestcalc.oracle import normalized_forest_matrix
 from forestcalc.structure import structural_top_reachability
 from forestcalc.verification import _numeric_rank
@@ -127,12 +128,11 @@ def test_criterion_02_projection_identities(corpus):
             failures.append((g, "rank of projection"))
         if _numeric_rank(lap.entries) != g.n - d_prime:
             failures.append((g, "rank of laplacian"))
-        # item 7: power-series route (self-asserting)
-        try:
-            for k in range(stack.m + 1):
-                forest_matrix_from_powers(stack, lap, k)
-        except ArithmeticError as err:
-            failures.append((g, "power series", str(err)))
+        # item 7: power-series route against the recurrence
+        for k in range(stack.m + 1):
+            series = forest_matrix_from_powers(stack, lap, k)
+            if np.abs(series - stack.q(k)).max() > 1e-8 * max(1.0, float(stack.sigmas[k])) * g.n:
+                failures.append((g, k, "power series"))
         # item 8: eigenprojection behavior
         if np.abs(jbar @ jbar - jbar).max() > 1e-8 or np.abs(jbar @ lap.entries).max() > 1e-8 * scale:
             failures.append((g, "eigenprojection"))
@@ -296,22 +296,43 @@ def test_criterion_07_cesaro_limits(corpus):
             ok, deviation = verify_tree_theorem(g, chain, limit, tol=1e-6)
             if not ok:
                 failures.append((g, alpha, deviation))
+            if alpha == default_alpha:
+                via_chain = limit.matrix.T @ np.full(g.n, 1.0 / g.n)
+                if np.abs(mean_score(g).values - via_chain).max() > 1e-6:
+                    failures.append((g, "mean score vs uniform-start chain limit"))
         if np.abs(uniform_start_distribution(g) - mean_score(g).values).max() > 1e-8:
             failures.append((g, "uniform start vs mean score"))
     _report(7, "Cesaro limit suite", failures)
+
+
+def _knot_tree_weights(g, knot):
+    """Spanning-tree weight of each root of the knot's induced subgraph,
+    normalized to sum 1, as a column over all of g's vertices."""
+    column = np.zeros(g.n)
+    if len(knot) == 1:
+        column[min(knot) - 1] = 1.0
+        return column
+    sub, ids = induced_subgraph(g, knot)
+    weights = {v: Fraction(0) for v in knot}
+    for tree in enumerate_out_forests(sub).forests(len(knot) - 1):
+        (root,) = tree.roots
+        weights[ids[root - 1]] += tree.weight
+    total = sum(weights.values())
+    for v, w in weights.items():
+        column[v - 1] = float(w / total)
+    return column
 
 
 def test_criterion_08_score_basis(corpus):
     failures = []
     for g in corpus:
         lap = column_laplacian(g).entries
-        try:
-            basis = score_basis(g)  # closed form vs tree weights asserted inside
-        except ArithmeticError as err:
-            failures.append((g, str(err)))
-            continue
+        basis = score_basis(g)
         if len(basis.columns) != source_knots(g).d_prime:
             failures.append((g, "dimension"))
+        for knot, column in zip(basis.knots, basis.columns):
+            if np.abs(column - _knot_tree_weights(g, knot)).max() > 1e-9:
+                failures.append((g, sorted(knot), "tree weights"))
         for v in basis.columns:
             if np.abs(lap @ v).max() > 1e-9:
                 failures.append((g, "nullspace residual"))

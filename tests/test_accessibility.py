@@ -6,7 +6,9 @@ import pytest
 from forestcalc import (
     check_condition,
     convexity_path,
+    forest_stack,
     in_accessibility,
+    max_forest_matrix,
     out_accessibility,
     reverse,
 )
@@ -46,6 +48,14 @@ class TestMeasures:
                 p_in = in_accessibility(g, tau).entries
                 dual = out_accessibility(reverse(g), tau).entries
                 assert np.array_equal(p_in, dual.T)
+
+    def test_limit_is_read_only(self, p3):
+        # the limiting measure is the memoised Jbar itself
+        before = out_accessibility(p3, math.inf).entries.copy()
+        with pytest.raises(ValueError):
+            out_accessibility(p3, math.inf).entries[0, 0] = 7.0
+        assert np.array_equal(out_accessibility(p3, math.inf).entries, before)
+        assert np.array_equal(max_forest_matrix(forest_stack(p3)).entries, before)
 
     def test_rejects_bad_tau(self, p3):
         with pytest.raises(ValueError):

@@ -215,6 +215,12 @@ class TestPowerSeriesRoute:
         with pytest.raises(ValueError):
             forest_matrix_from_powers(forest_stack(p3), column_laplacian(p3), 3)
 
+    def test_exact_route_equals_the_recurrence(self, three_vertex_corpus):
+        for g in three_vertex_corpus:
+            stack = forest_stack(g, exact=True)
+            for k in range(stack.m + 1):
+                assert np.array_equal(forest_matrix_from_powers(stack, stack.lap, k), stack.q(k))
+
 
 class TestForestDigraphLaplacians:
     def test_p3_values(self, p3):
@@ -226,10 +232,33 @@ class TestForestDigraphLaplacians:
     def test_edgeless_empty(self, edgeless4):
         assert forest_digraph_laplacians(forest_stack(edgeless4), column_laplacian(edgeless4)) == ()
 
+    def test_exact_recurrences_hold_exactly(self, three_vertex_corpus):
+        for g in three_vertex_corpus:
+            stack = forest_stack(g, exact=True)
+            L = stack.lap.entries
+            layers = forest_digraph_laplacians(stack, stack.lap)
+            for k, lk in enumerate(layers, start=1):
+                assert np.array_equal(lk, L @ stack.q(k - 1))
+                assert np.trace(lk) == k * stack.sigmas[k]
+                if k >= 2:
+                    prev = layers[k - 2]
+                    scalar = np.trace(prev) / (k - 1) * np.eye(g.n, dtype=object)
+                    assert np.array_equal(lk, L @ (scalar - prev))
+
     def test_verifications_hold_on_corpus(self, corpus):
         for g in corpus:
-            layers = forest_digraph_laplacians(forest_stack(g), column_laplacian(g))
-            assert len(layers) == forest_stack(g).m
+            stack = forest_stack(g)
+            L = column_laplacian(g).entries
+            eye = np.eye(g.n)
+            layers = forest_digraph_laplacians(stack, column_laplacian(g))
+            assert len(layers) == stack.m
+            for k, lk in enumerate(layers, start=1):
+                tol = 1e-9 * max(1.0, float(stack.sigmas[k]))
+                assert np.abs(lk - L @ stack.q(k - 1)).max() <= tol
+                assert abs(np.trace(lk) - k * stack.sigmas[k]) <= tol
+                if k >= 2:
+                    prev = layers[k - 2]
+                    assert np.abs(lk - L @ (np.trace(prev) / (k - 1) * eye - prev)).max() <= tol
 
 
 class TestDenseForestMatrix:
@@ -239,7 +268,15 @@ class TestDenseForestMatrix:
         got = dense_forest_matrix(jbar, 0.25, stack)
         expected = np.eye(3) - 0.2 * np.asarray(jbar.entries, dtype=float)
         assert np.allclose(got, expected)
-        assert np.allclose(got @ (np.eye(3) + 0.25 * np.asarray(jbar.entries, dtype=float)), np.eye(3))
+        assert np.allclose(got, np.linalg.inv(np.eye(3) + 0.25 * np.asarray(jbar.entries, dtype=float)))
+
+    def test_matches_direct_inverse_on_corpus(self, corpus):
+        for g in corpus:
+            stack = forest_stack(g)
+            jbar = np.asarray(max_forest_matrix(stack).entries, dtype=float)
+            alpha = 0.5 * float(stack.rhos[-1]) if stack.m else 3.0
+            direct = np.linalg.inv(np.eye(g.n) + alpha * jbar)
+            assert np.abs(dense_forest_matrix(max_forest_matrix(stack), alpha, stack) - direct).max() < 1e-12
 
     def test_alpha_at_weight_ratio_rejected(self, p3):
         # sigma_2 / sigma_1 = 1/2 caps the admissible interval

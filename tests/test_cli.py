@@ -78,6 +78,16 @@ def test_rank_daniels_on_cycle():
     assert doc["scores"] == [0.5, 0.5]
 
 
+def test_rank_on_large_weights(tmp_path, capsys):
+    path = tmp_path / "cycle3e8.txt"
+    path.write_text("3\n1 2 200000000\n2 3 100000000\n3 1 100000000\n")
+    for method in ("daniels", "mean-jbar"):
+        code, doc = run_in_process(capsys, "rank", "--method", method, "--input", str(path))
+        assert code == 0, doc
+        assert doc["scores"] == pytest.approx([0.4, 0.2, 0.4], rel=1e-15)
+        assert doc["ranking"] == [[1, 3], [2]]
+
+
 def test_access_matrix_and_check(p3_path):
     doc = run_json("access", "--input", p3_path, "--tau", "1")
     assert doc["proximity"][0] == [1, 0.5, 0.25]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,12 @@ class TestUniformStart:
 
     def test_two_sources(self, two_sources):
         assert np.allclose(uniform_start_distribution(two_sources), [0.5, 0.5, 0], atol=1e-8)
+
+    def test_small_weights(self):
+        # the default chain's Cesaro average does not settle within 2^40 steps
+        w = Fraction(1, 10**6)
+        g = Digraph.build(3, [(1, 2, w), (2, 3, w), (3, 1, w)])
+        assert np.allclose(uniform_start_distribution(g), [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
 
     def test_edgeless_uniform(self, edgeless4):
         assert np.allclose(uniform_start_distribution(edgeless4), np.full(4, 0.25))

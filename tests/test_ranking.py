@@ -3,16 +3,17 @@ import pytest
 
 from forestcalc import (
     Digraph,
+    cesaro_limit,
     column_laplacian,
     daniels_scores_strong,
     forest_stack,
     generalized_borda,
+    inverse_corresponding_chain,
     max_forest_matrix,
     mean_score,
     rank_order,
     score_basis,
     source_knots,
-    uniform_start_distribution,
 )
 from forestcalc.ranking import ScoreVector
 
@@ -83,8 +84,11 @@ class TestMeanScore:
                     assert abs(values[v - 1]) < 1e-12
 
     def test_matches_uniform_start(self, corpus):
+        # the uniform-start distribution of the default chain, from its Cesaro limit
         for g in corpus[:25]:
-            assert np.abs(mean_score(g).values - uniform_start_distribution(g)).max() < 1e-8
+            limit = cesaro_limit(inverse_corresponding_chain(g), tol=1e-8)
+            via_chain = limit.matrix.T @ np.full(g.n, 1.0 / g.n)
+            assert np.abs(mean_score(g).values - via_chain).max() < 1e-6
 
 
 class TestDanielsScores:

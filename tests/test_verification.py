@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
-from forestcalc import Digraph, verify_suite
+from forestcalc import Digraph, score_basis, verification, verify_suite
+from forestcalc.ranking import ScoreBasis
 
 from conftest import seeded_weighted_digraph
 
@@ -48,6 +50,30 @@ def test_suite_passes_on_seeded_weighted_digraphs():
         n = rng.randint(6, 7)
         result = verify_suite(seeded_weighted_digraph(rng, n, rng.randint(n, 12)))
         assert result["all_pass"], [c for c in result["checks"] if not c["pass"]]
+
+
+def test_scaled_bounds_hold_on_large_weights():
+    # J-bar does not depend on the unit of the weights; products with L grow
+    # with it, and so do the bounds on them
+    rng = random.Random(8)
+    for _ in range(100):
+        n = rng.randint(4, 6)
+        g = seeded_weighted_digraph(rng, n, rng.randint(n, n + 4))
+        scaled = Digraph.build(n, [(a.tail, a.head, a.weight * 10**8) for a in g.arcs])
+        checks = {c["name"]: c["pass"] for c in verify_suite(scaled)["checks"]}
+        assert checks["laplacian-annihilation"] and checks["mean-score-nullspace"], g
+
+
+def test_score_basis_check_fails_on_a_corrupted_column(cycle3, monkeypatch):
+    def corrupted(g):
+        basis = score_basis(g)
+        column = basis.columns[0] + np.array([1e-6, -1e-6, 0.0])
+        return ScoreBasis((column,), basis.knots, basis.representatives)
+
+    assert {c["name"]: c["pass"] for c in verify_suite(cycle3)["checks"]}["score-basis"]
+    monkeypatch.setattr(verification, "score_basis", corrupted)
+    checks = {c["name"]: c["pass"] for c in verify_suite(cycle3)["checks"]}
+    assert not checks["score-basis"]
 
 
 def test_threshold_check_only_on_unit_weights():
