@@ -4,7 +4,9 @@ The out measure at parameter tau is the normalized parametric forest matrix;
 the in measure is its dual through arc reversal.  tau = inf selects the
 limiting measures built on maximum forests only.  Each desirable-property
 condition is an executable, exhaustive check returning pass or the first
-failing witness in lexicographic tuple order.
+failing witness in lexicographic tuple order.  The monotonicity checks raise
+one arc weight at a time in a copy of the measured digraph's cached column
+Laplacian, so they build no digraph and cache no stack but that digraph's.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import forest_stack, max_forest_matrix, resolvent
-from .digraph import Digraph, increase_arc, mediates, reachability_bfs, reverse
+from .calculus import ForestMatrixStack, forest_stack, max_forest_matrix, resolvent
+from .digraph import Digraph, SuccessorLists, as_weight, mediates, reachability_bfs, reverse
+from .laplacian import LaplacianMatrix
 from .structure import support
 
 STRICT_TOL = 1e-10
@@ -70,17 +73,16 @@ class ConditionReport:
         }
 
 
+def _out_entries(stack: ForestMatrixStack, tau: float) -> np.ndarray:
+    return max_forest_matrix(stack).entries if tau == math.inf else resolvent(stack.lap, tau)
+
+
 def out_accessibility(g: Digraph, tau: float) -> ProximityMatrix:
     """Relative weight of i -> j connections among the out-connections of i.
 
     tau is positive and finite, or math.inf for the limiting measure Jbar.
     """
-    stack = forest_stack(g)
-    if tau == math.inf:
-        entries = np.asarray(max_forest_matrix(stack).entries, dtype=float)
-    else:
-        entries = resolvent(stack.lap, tau)
-    return ProximityMatrix(entries, "out", tau)
+    return ProximityMatrix(_out_entries(forest_stack(g), tau), "out", tau)
 
 
 def in_accessibility(g: Digraph, tau: float) -> ProximityMatrix:
@@ -246,13 +248,28 @@ def _check_transit(g, p, direction, tau, variant, mode):
     return ConditionReport("transit-property", variant, mode, "pass", None)
 
 
-def _perturbations(g: Digraph):
-    for tail in g.vertices:
-        for head in g.vertices:
-            if tail == head:
+def _perturbations(g: Digraph, p: np.ndarray, direction: str, tau: float):
+    """Each increase (k, t, delta) of an arc weight of g, with the gain d of
+    the measure p on the increased digraph.  That digraph is never built: the
+    arc is raised in a copy of the measured digraph's column Laplacian (g's,
+    or reverse(g)'s for the in measure) whose two changed entries come from
+    exact sums, so the copy equals the increased digraph's Laplacian bit for
+    bit."""
+    h = g if direction == "out" else reverse(g)
+    base = forest_stack(h).lap.entries
+    steps = [(delta, as_weight(delta)) for delta in PERTURBATION_STEPS]
+    for k in g.vertices:
+        for t in g.vertices:
+            if k == t:
                 continue
-            for delta in PERTURBATION_STEPS:
-                yield tail, head, delta
+            tail, head = (k, t) if direction == "out" else (t, k)
+            indegree = sum(h.weight_of(u, head) for u in h.in_adj[head])
+            for delta, step in steps:
+                entries = base.copy()
+                entries[tail - 1, head - 1] = -float(h.weight_of(tail, head) + step)
+                entries[head - 1, head - 1] = float(indegree + step)
+                measure = _out_entries(ForestMatrixStack(LaplacianMatrix(entries, "column")), tau)
+                yield k, t, delta, (measure if direction == "out" else measure.T) - p
 
 
 def _check_monotonicity(g, p, direction, tau, variant, mode):
@@ -260,9 +277,8 @@ def _check_monotonicity(g, p, direction, tau, variant, mode):
     follow the variant.  Mediation is judged in the perturbed digraph, where
     a newly added arc already exists."""
     halves = _variants("monotonicity", variant)
-    for k, t, delta in _perturbations(g):
-        g2 = increase_arc(g, k, t, delta)
-        d = _measure(g2, direction, tau) - p
+    for k, t, delta, d in _perturbations(g, p, direction, tau):
+        g2 = g if g.has_arc(k, t) else SuccessorLists({**g.out_adj, k: g.out_adj[k] + (t,)})
         if not _gt(d[k - 1, t - 1], 0.0, mode):
             return _fail("monotonicity", variant, mode, "item1",
                          {"k": k, "t": t, "delta": delta},
@@ -376,9 +392,7 @@ def small_tau_monotonicity_probe(
     """Experimental: at small tau the perturbed pair's gain should dominate
     every other pair's gain.  Reported for observation only."""
     p = _measure(g, direction, tau)
-    for k, t, delta in _perturbations(g):
-        g2 = increase_arc(g, k, t, delta)
-        d = _measure(g2, direction, tau) - p
+    for k, t, delta, d in _perturbations(g, p, direction, tau):
         gain = d[k - 1, t - 1]
         for i in g.vertices:
             for j in g.vertices:

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import exact as exact_la
-from .digraph import Arc, Digraph, SourceKnotSet, reverse, source_knots
+from .digraph import Digraph, SourceKnotSet, SuccessorLists, reverse, source_knots
 from .laplacian import LaplacianMatrix, column_laplacian
 
 
@@ -75,13 +75,6 @@ def resolvent(lap: LaplacianMatrix, tau) -> np.ndarray:
     """
     _, eye, system = _scaled(lap, tau)
     return _solve(system, eye, lap.exact)
-
-
-def _pattern_knots(lap: LaplacianMatrix) -> SourceKnotSet:
-    """Source knots of the digraph formed by the off-diagonal nonzeros of L."""
-    one = Fraction(1)
-    arcs = (Arc(int(i) + 1, int(j) + 1, one) for i, j in zip(*np.nonzero(lap.entries)) if i != j)
-    return source_knots(Digraph(lap.n, tuple(arcs)))
 
 
 def _eigenprojection(lap: LaplacianMatrix, knots: SourceKnotSet) -> np.ndarray:
@@ -158,7 +151,11 @@ class ForestMatrixStack:
 
     @cached_property
     def knots(self) -> SourceKnotSet:
-        return _pattern_knots(self.lap)
+        """Source knots of the digraph formed by the off-diagonal nonzeros of L."""
+        return source_knots(SuccessorLists({
+            i + 1: tuple(j + 1 for j in np.flatnonzero(row).tolist() if j != i)
+            for i, row in enumerate(self.lap.entries != 0)
+        }))
 
     @property
     def d_prime(self) -> int:
@@ -171,6 +168,8 @@ class ForestMatrixStack:
     @cached_property
     def _max_forest(self) -> "MaxForestMatrix":
         entries = _eigenprojection(self.lap, self.knots)
+        if not self.exact and not np.isfinite(entries).all():
+            raise ArithmeticError("the matrix of maximum forests has entries that are not finite")
         # every caller shares this array, so none may write into it
         entries.flags.writeable = False
         return MaxForestMatrix(entries)

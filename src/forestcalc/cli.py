@@ -42,6 +42,8 @@ def _format(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         value = float(value)
+        if math.isnan(value):
+            raise ValueError("a result is NaN, which has no JSON form")
         if math.isinf(value):
             return '"inf"'
         return f"{value:.17g}"
@@ -103,7 +105,7 @@ def _cmd_forests(args) -> dict:
 def _cmd_structure(args) -> dict:
     g = _load(args.input)
     tau = finite_tau(args.tau)
-    sk = source_knots(g)
+    sk = forest_stack(g).knots
     doc = _envelope(args.command, {"input": args.input, "tau": tau})
     doc.update(
         {
@@ -263,6 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         document = args.func(args)
+        text = _format(document)
     except (ValueError, ArithmeticError, OSError) as err:
         emit(
             {
@@ -273,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
             }
         )
         return 1
-    emit(document)
+    sys.stdout.write(text + "\n")
     if args.command == "verify" and not document.get("all_pass", False):
         return 1
     return 0

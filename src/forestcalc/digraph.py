@@ -3,6 +3,10 @@
 Vertices are the integers 1..n.  Arc weights are kept as exact rationals so
 that the enumeration oracle and the exact-arithmetic code paths never see
 rounding; float consumers convert on demand via :meth:`Digraph.weight_matrix`.
+
+``strong_components``, ``source_knots``, ``reachable_from`` and ``mediates``
+read only ``out_adj``, so a pattern with no weights, such as the off-diagonal
+nonzeros of a Laplacian, is passed to them as :class:`SuccessorLists`.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -38,15 +42,41 @@ def as_weight(value) -> Fraction:
         raise ValueError(f"invalid weight {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
+    try:
         return Fraction(str(value))
-    return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"invalid weight {value!r}") from None
 
 
 class Arc(NamedTuple):
     tail: int
     head: int
     weight: Fraction
+
+
+class SuccessorLists(NamedTuple):
+    """A digraph's structure alone: vertex -> heads of its arcs."""
+
+    out_adj: dict[int, tuple[int, ...]]
+
+
+def _checked_arc(n: int, tail, head, weight, seen: set[tuple[int, int]]) -> Arc:
+    """The arc (tail, head, weight) of a digraph on 1..n, or ValueError.
+
+    ``seen`` holds the pairs accepted so far; this arc's pair is added."""
+    if not isinstance(tail, int) or not isinstance(head, int):
+        raise ValueError(f"vertex ids must be integers, got {(tail, head)!r}")
+    if not (1 <= tail <= n and 1 <= head <= n):
+        raise ValueError(f"vertex id out of range 1..{n}: ({tail}, {head})")
+    if tail == head:
+        raise ValueError(f"loop arc at vertex {tail}")
+    if (tail, head) in seen:
+        raise ValueError(f"duplicate arc ({tail}, {head})")
+    seen.add((tail, head))
+    weight = as_weight(weight)
+    if weight <= 0:
+        raise ValueError(f"nonpositive weight on arc ({tail}, {head})")
+    return Arc(tail, head, weight)
 
 
 @dataclass(frozen=True)
@@ -67,24 +97,8 @@ class Digraph:
         seen: set[tuple[int, int]] = set()
         canonical = []
         for raw in self.arcs:
-            if len(raw) == 2:
-                tail, head = raw
-                weight = Fraction(1)
-            else:
-                tail, head, weight = raw
-            if not isinstance(tail, int) or not isinstance(head, int):
-                raise ValueError(f"vertex ids must be integers, got {raw!r}")
-            if not (1 <= tail <= self.n and 1 <= head <= self.n):
-                raise ValueError(f"vertex id out of range 1..{self.n}: {raw!r}")
-            if tail == head:
-                raise ValueError(f"loop arc at vertex {tail}")
-            if (tail, head) in seen:
-                raise ValueError(f"duplicate arc ({tail}, {head})")
-            seen.add((tail, head))
-            weight = as_weight(weight)
-            if weight <= 0:
-                raise ValueError(f"nonpositive weight on arc ({tail}, {head})")
-            canonical.append(Arc(tail, head, weight))
+            tail, head, weight = raw if len(raw) == 3 else (*raw, Fraction(1))
+            canonical.append(_checked_arc(self.n, tail, head, weight, seen))
         canonical.sort(key=lambda a: (a.tail, a.head))
         object.__setattr__(self, "arcs", tuple(canonical))
 
@@ -152,10 +166,6 @@ class Condensation:
     components: tuple[frozenset[int], ...]
     arcs: frozenset[tuple[int, int]]
 
-    @cached_property
-    def index_of(self) -> dict[int, int]:
-        return {v: i for i, comp in enumerate(self.components) for v in comp}
-
     def in_degree(self, comp_index: int) -> int:
         return sum(1 for (_, j) in self.arcs if j == comp_index)
 
@@ -219,23 +229,11 @@ def load_digraph(text: str) -> Digraph:
             tail, head = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise EdgeListError(f"vertex ids must be integers: {line!r}", line_no) from None
-        if not (1 <= tail <= n and 1 <= head <= n):
-            raise EdgeListError(f"vertex id out of range 1..{n}", line_no)
-        if tail == head:
-            raise EdgeListError(f"loop arc at vertex {tail}", line_no)
-        if (tail, head) in seen:
-            raise EdgeListError(f"duplicate arc ({tail}, {head})", line_no)
-        seen.add((tail, head))
-        if len(tokens) == 3:
-            try:
-                weight = Fraction(tokens[2])
-            except (ValueError, ZeroDivisionError):
-                raise EdgeListError(f"invalid weight {tokens[2]!r}", line_no) from None
-        else:
-            weight = Fraction(1)
-        if weight <= 0:
-            raise EdgeListError(f"nonpositive weight on arc ({tail}, {head})", line_no)
-        arcs.append(Arc(tail, head, weight))
+        weight = tokens[2] if len(tokens) == 3 else 1
+        try:
+            arcs.append(_checked_arc(n, tail, head, weight, seen))
+        except ValueError as err:
+            raise EdgeListError(str(err), line_no) from None
     if n is None:
         raise EdgeListError("empty document: missing vertex count")
     return Digraph(n, tuple(arcs))
@@ -244,22 +242,6 @@ def load_digraph(text: str) -> Digraph:
 def reverse(g: Digraph) -> Digraph:
     """Digraph with every arc reversed, weights preserved."""
     return Digraph(g.n, tuple(Arc(a.head, a.tail, a.weight) for a in g.arcs))
-
-
-def increase_arc(g: Digraph, tail: int, head: int, amount) -> Digraph:
-    """Copy of g with the (tail, head) weight increased by ``amount``.
-
-    Adds the arc when absent.  Used by the monotonicity checkers.
-    """
-    if not (1 <= tail <= g.n and 1 <= head <= g.n) or tail == head:
-        raise ValueError(f"invalid arc ({tail}, {head})")
-    amount = as_weight(amount)
-    if amount <= 0:
-        raise ValueError("weight increase must be positive")
-    new_weight = g.weight_of(tail, head) + amount
-    arcs = [a for a in g.arcs if (a.tail, a.head) != (tail, head)]
-    arcs.append(Arc(tail, head, new_weight))
-    return Digraph(g.n, tuple(arcs))
 
 
 def induced_subgraph(g: Digraph, vertices: Iterable[int]) -> tuple[Digraph, tuple[int, ...]]:
@@ -280,50 +262,57 @@ def induced_subgraph(g: Digraph, vertices: Iterable[int]) -> tuple[Digraph, tupl
     return Digraph(len(ids), arcs), ids
 
 
-def strong_components(g: Digraph) -> Condensation:
-    """Tarjan partition into strong components plus the condensation arcs."""
+def strong_components(g: Digraph | SuccessorLists) -> Condensation:
+    """Tarjan partition into strong components plus the condensation arcs.
+
+    The depth-first search keeps its own stack of (vertex, remaining
+    successors) pairs instead of recursing, so its depth is not bounded by
+    the interpreter's recursion limit.
+    """
+    adj = g.out_adj
     index: dict[int, int] = {}
     lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = 0
+    on_stack: dict[int, None] = {}  # insertion-ordered, so popitem() pops the latest
     raw_components: list[frozenset[int]] = []
+    work: list[tuple[int, Iterator[int]]] = []
 
-    def connect(v: int) -> None:
-        nonlocal counter
-        index[v] = lowlink[v] = counter
-        counter += 1
-        stack.append(v)
-        on_stack.add(v)
-        for w in g.out_adj[v]:
-            if w not in index:
-                connect(w)
-                lowlink[v] = min(lowlink[v], lowlink[w])
-            elif w in on_stack:
-                lowlink[v] = min(lowlink[v], index[w])
-        if lowlink[v] == index[v]:
-            comp = set()
-            while True:
-                w = stack.pop()
-                on_stack.remove(w)
-                comp.add(w)
-                if w == v:
+    def enter(v: int) -> None:
+        index[v] = lowlink[v] = len(index)
+        on_stack[v] = None
+        work.append((v, iter(adj[v])))
+
+    for root in adj:
+        if root in index:
+            continue
+        enter(root)
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if w not in index:
+                    enter(w)
                     break
-            raw_components.append(frozenset(comp))
-
-    for v in g.vertices:
-        if v not in index:
-            connect(v)
+                if w in on_stack:
+                    lowlink[v] = min(lowlink[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == index[v]:
+                    comp = set()
+                    while v not in comp:
+                        comp.add(on_stack.popitem()[0])
+                    raw_components.append(frozenset(comp))
 
     components = tuple(sorted(raw_components, key=min))
     where = {v: i for i, comp in enumerate(components) for v in comp}
     cond_arcs = frozenset(
-        (where[a.tail], where[a.head]) for a in g.arcs if where[a.tail] != where[a.head]
+        (where[v], where[w]) for v, heads in adj.items() for w in heads if where[v] != where[w]
     )
     return Condensation(components, cond_arcs)
 
 
-def reachable_from(g: Digraph, starts: Iterable[int]) -> frozenset[int]:
+def reachable_from(g: Digraph | SuccessorLists, starts: Iterable[int]) -> frozenset[int]:
     """Vertices reachable from any start vertex (starts included)."""
     seen = set(starts)
     queue = deque(seen)
@@ -336,7 +325,7 @@ def reachable_from(g: Digraph, starts: Iterable[int]) -> frozenset[int]:
     return frozenset(seen)
 
 
-def source_knots(g: Digraph) -> SourceKnotSet:
+def source_knots(g: Digraph | SuccessorLists) -> SourceKnotSet:
     """Source knots: strong components with indegree 0 in the condensation.
 
     The exclusive reach of a knot keeps only the vertices no other knot can
@@ -363,15 +352,15 @@ def reachability_bfs(g: Digraph) -> np.ndarray:
     return r
 
 
-def mediates(g: Digraph, k: int, i: int, t: int) -> bool:
+def mediates(g: Digraph | SuccessorLists, k: int, i: int, t: int) -> bool:
     """True when every path from i to t passes through k.
 
     Requires i != k != t and a path from i to t.  Implemented as vertex
     deletion: t must become unreachable from i once k is removed.
     """
     for v in (k, i, t):
-        if not (1 <= v <= g.n):
-            raise ValueError(f"vertex id out of range 1..{g.n}: {v}")
+        if v not in g.out_adj:
+            raise ValueError(f"vertex id out of range 1..{len(g.out_adj)}: {v}")
     if k == i or k == t:
         return False
     if i == t:

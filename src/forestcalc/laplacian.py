@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +38,18 @@ class LaplacianMatrix:
         return self.entries.dtype == object
 
 
+def _as_float(value: Fraction, what: str) -> float:
+    """float(value); ValueError when it overflows or a nonzero value rounds to
+    0.0, which would change the digraph the float Laplacian describes."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x) or (x == 0) != (value == 0):
+        raise ValueError(f"{what} is outside the float range")
+    return x
+
+
 def _laplacian(g: Digraph, orientation: str, exact: bool) -> LaplacianMatrix:
     n = g.n
     if exact:
@@ -48,13 +61,13 @@ def _laplacian(g: Digraph, orientation: str, exact: bool) -> LaplacianMatrix:
     diag = [Fraction(0)] * n
     for a in g.arcs:
         i, j = a.tail - 1, a.head - 1
-        entries[i, j] = -a.weight if exact else -float(a.weight)
+        entries[i, j] = -a.weight if exact else -_as_float(a.weight, f"weight of arc ({a.tail}, {a.head})")
         if orientation == "column":
             diag[j] += a.weight
         else:
             diag[i] += a.weight
     for i in range(n):
-        entries[i, i] = diag[i] if exact else float(diag[i])
+        entries[i, i] = diag[i] if exact else _as_float(diag[i], f"weighted degree of vertex {i + 1}")
     return LaplacianMatrix(entries, orientation)
 
 

@@ -48,6 +48,8 @@ def random_unit_digraphs() -> list[Digraph]:
 
 def seeded_weighted_digraph(rng: random.Random, n: int, arc_count: int) -> Digraph:
     """n vertices, arc_count distinct arcs drawn uniformly, weights {1/2, 1, 2}."""
+    if arc_count > n * (n - 1):
+        raise ValueError(f"{arc_count} arcs do not fit on {n} vertices")
     arcs: set[tuple[int, int]] = set()
     while len(arcs) < arc_count:
         i, j = rng.randint(1, n), rng.randint(1, n)
@@ -89,6 +91,9 @@ MONOTONICITY_N6 = """6
 6 1 1/2
 """
 UNIT_PATH6 = "6\n1 2\n2 3\n3 4\n4 5\n5 6\n"
+# The float Jbar of NAN_JBAR_N3 holds NaN; the float weight of TINY_WEIGHT is 0.0.
+NAN_JBAR_N3 = "3\n2 1 1e12\n3 1 2\n1 3 1e12\n3 2 1e-300\n2 3 0.5\n"
+TINY_WEIGHT = "2\n1 2 1e-400\n"
 
 
 @pytest.fixture(scope="session")

@@ -190,6 +190,14 @@ class TestStrictSuiteAtFiniteTau:
     def test_monotonicity_out_a(self, p3):
         assert check_condition(p3, "monotonicity", tau=1.0, variant="A").passed
 
+    @pytest.mark.parametrize("direction", ["out", "in"])
+    def test_monotonicity_caches_only_the_measured_digraph(self, recurrence_failures, direction):
+        forest_stack.cache_clear()
+        for tau in (1.0, math.inf):
+            check_condition(recurrence_failures["monotonicity-n6"], "monotonicity",
+                            direction=direction, tau=tau, variant="both", mode="nonstrict")
+        assert forest_stack.cache_info().currsize == 1
+
     def test_in_measure_passes_b_forms(self, p3):
         for condition in ("self-accessibility", "triangle-inequality", "transit-property", "convexity"):
             assert check_condition(p3, condition, direction="in", tau=1.0, variant="B").passed

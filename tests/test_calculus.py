@@ -30,7 +30,7 @@ from forestcalc import (
 from forestcalc.laplacian import LaplacianMatrix, row_laplacian
 from forestcalc.structure import structural_top_reachability
 
-from conftest import seeded_weighted_digraph
+from conftest import NAN_JBAR_N3, seeded_weighted_digraph
 from test_digraph import digraphs
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
@@ -99,6 +99,16 @@ class TestRecurrence:
             assert len(stack.sigmas) == stack.m + 1
             for got, sigma in zip(stack.sigmas, forest_stack(g, exact=True).sigmas):
                 assert abs(got - float(sigma)) <= 1e-10 * max(1.0, float(sigma))
+
+    def test_knots_of_the_pattern_of_l_are_the_digraphs(self, corpus):
+        for g in corpus:
+            for exact in (False, True):
+                assert forest_stack(g, exact=exact).knots == source_knots(g)
+
+    def test_knots_of_a_long_path(self):
+        n = 1500
+        stack = ForestMatrixStack(column_laplacian(Digraph.build(n, [(i, i + 1) for i in range(1, n)])))
+        assert stack.knots.knots == (frozenset({1}),)
 
     def test_layers_run_only_when_read(self):
         stack = ForestMatrixStack(column_laplacian(Digraph.build(3, [(1, 2), (2, 3), (3, 2)])))
@@ -188,6 +198,11 @@ class TestMaxForestMatrix:
             assert np.abs(jbar @ lap).max() <= 1e-12
             assert np.abs(jbar.sum(axis=0) - 1.0).max() <= 1e-12
             assert np.array_equal((jbar > 0).astype(int), structural_top_reachability(g).entries)
+
+    def test_non_finite_entries_raise(self):
+        stack = ForestMatrixStack(column_laplacian(load_digraph(NAN_JBAR_N3)))
+        with pytest.raises(ArithmeticError), np.errstate(invalid="ignore"):
+            max_forest_matrix(stack)
 
     def test_idempotent_and_annihilated(self, corpus):
         for g in corpus:

@@ -9,7 +9,7 @@ import pytest
 from forestcalc import cli, load_digraph
 from forestcalc.structure import structural_top_reachability
 
-from conftest import ROUNDOFF_LAYER_N8, UNIT_PATH6, WRONG_FROM_N8
+from conftest import NAN_JBAR_N3, ROUNDOFF_LAYER_N8, TINY_WEIGHT, UNIT_PATH6, WRONG_FROM_N8
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 COMMANDS = ("forests", "reach", "knots", "access", "rank", "markov", "simulate", "verify")
@@ -147,6 +147,11 @@ def test_float_serialization_has_full_precision():
     assert "0.6666666666666666" in doc.stdout
 
 
+def test_nan_is_not_serialized():
+    with pytest.raises(ValueError):
+        cli._format({"value": [1.0, float("nan")]})
+
+
 def test_domain_error_exits_one(tmp_path):
     missing = run_cli("forests", "--input", str(tmp_path / "nope.txt"))
     assert missing.returncode == 1
@@ -205,6 +210,26 @@ def test_invalid_parameters_give_error_json(p3_path, args):
     proc = run_cli(*args, "--input", p3_path)
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout)["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("tiny-weight", ("reach",)),
+        ("tiny-weight", ("forests",)),
+        ("nan-jbar", ("forests",)),
+        ("nan-jbar", ("reach",)),
+        ("nan-jbar", ("knots",)),
+        ("nan-jbar", ("rank",)),
+        ("nan-jbar", ("access", "--tau", "inf")),
+    ],
+)
+def test_results_outside_the_float_range_give_error_json(tmp_path, capsys, name, args):
+    path = tmp_path / "g.txt"
+    path.write_text({"tiny-weight": TINY_WEIGHT, "nan-jbar": NAN_JBAR_N3}[name])
+    with np.errstate(invalid="ignore"):
+        code, doc = run_in_process(capsys, *args, "--input", str(path))
+    assert code == 1 and "error" in doc, doc
 
 
 def test_small_tau_reach_on_a_long_path(tmp_path):

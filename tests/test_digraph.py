@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -17,7 +18,9 @@ from forestcalc import (
     standard_numeration,
     strong_components,
 )
-from forestcalc.digraph import reachable_from
+from forestcalc.digraph import SuccessorLists, reachable_from
+
+from conftest import seeded_weighted_digraph
 
 
 @st.composite
@@ -53,6 +56,8 @@ class TestParsing:
             ("2\n1 2 -1", "nonpositive", 2),
             ("2\n1 3 1", "out of range", 2),
             ("2\nx 2 1", "integers", 2),
+            ("2\n1 2 abc", "invalid weight", 2),
+            ("2\n1 2 1/0", "invalid weight", 2),
             ("2\n1 2 1 9", "expected", 2),
             ("x\n1 2 1", "not an integer", 1),
             ("", "missing vertex count", None),
@@ -142,6 +147,26 @@ class TestStrongComponents:
                             ready.append(b)
             assert seen == len(cond.components)
 
+    @settings(max_examples=40, deadline=None)
+    @given(digraphs(max_n=6))
+    def test_shared_component_iff_mutually_reachable(self, g):
+        cond = strong_components(g)
+        assert strong_components(SuccessorLists(g.out_adj)) == cond
+        component = {v: comp for comp in cond.components for v in comp}
+        reach = {v: reachable_from(g, (v,)) for v in g.vertices}
+        for u in g.vertices:
+            for v in g.vertices:
+                assert (v in component[u]) == (v in reach[u] and u in reach[v])
+
+    def test_long_path_and_cycle_do_not_recurse(self):
+        n = 5000
+        path = Digraph.build(n, [(i, i + 1) for i in range(1, n)])
+        cycle = Digraph.build(n, [(i, i % n + 1) for i in range(1, n + 1)])
+        assert len(strong_components(path).components) == n
+        assert source_knots(path).knots == (frozenset({1}),)
+        assert strong_components(cycle).components == (frozenset(range(1, n + 1)),)
+        assert source_knots(cycle).exclusive_reach == (frozenset(range(1, n + 1)),)
+
 
 class TestSourceKnots:
     def test_p3(self, p3):
@@ -219,6 +244,12 @@ class TestMediates:
                                 ),
                                 (i,),
                             )
+
+
+def test_seeded_generator_rejects_more_arcs_than_pairs():
+    with pytest.raises(ValueError):
+        seeded_weighted_digraph(random.Random(0), 3, 7)
+    assert len(seeded_weighted_digraph(random.Random(0), 3, 6).arcs) == 6
 
 
 class TestStandardNumeration:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from forestcalc import Digraph, column_laplacian, degrees, row_laplacian
+from forestcalc import Digraph, column_laplacian, degrees, load_digraph, row_laplacian
+
+from conftest import TINY_WEIGHT
 
 
 def test_column_laplacian_p3(p3):
@@ -72,3 +74,12 @@ def test_arc_count_degrees_ignore_weights():
 def test_unknown_degree_kind(p3):
     with pytest.raises(ValueError):
         degrees(p3, "indegree")
+
+
+def test_weights_outside_the_float_range_are_rejected():
+    for text in (TINY_WEIGHT, "2\n1 2 1e400\n"):
+        g = load_digraph(text)
+        for build in (column_laplacian, row_laplacian):
+            with pytest.raises(ValueError, match="float range"):
+                build(g)
+            assert build(g, exact=True).entries[0, 1] == -g.weight_of(1, 2)
