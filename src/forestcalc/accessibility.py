@@ -345,10 +345,17 @@ def convexity_path(
     """
     p = np.asarray(entries, dtype=float)
     if variant == "B":
-        found = convexity_path(reverse(g), p.T, "A", k, t, i, mode=mode)
+        # A on the reversed digraph, whose in- and out-lists are g's out- and
+        # in-lists, with the transposed matrix
+        found = _convexity_walk(g.n, g.out_adj, g.in_adj, p.T, k, t, i, mode)
         return None if found is None else tuple(reversed(found))
     if variant != "A":
         raise ValueError(f"variant must be 'A' or 'B', got {variant!r}")
+    return _convexity_walk(g.n, g.in_adj, g.out_adj, p, k, t, i, mode)
+
+
+def _convexity_walk(n, in_adj, out_adj, p, k, t, i, mode):
+    """Variant A of ``convexity_path`` on the digraph with these adjacency lists."""
     if i == k:
         raise ValueError("convexity requires i != k")
     diff = p[k - 1] - p[t - 1]
@@ -357,10 +364,10 @@ def convexity_path(
 
     backwards = [i]
     current = i
-    for _ in range(g.n):
+    for _ in range(n):
         if current == k:
             return tuple(reversed(backwards))
-        candidates = [u for u in g.in_adj[current] if diff[u - 1] > diff[current - 1] + STRICT_TOL]
+        candidates = [u for u in in_adj[current] if diff[u - 1] > diff[current - 1] + STRICT_TOL]
         if not candidates:
             break
         current = min(candidates)
@@ -374,7 +381,7 @@ def convexity_path(
         v = path[-1]
         if v == i:
             return tuple(path)
-        for w in sorted(g.out_adj[v]):
+        for w in sorted(out_adj[v]):
             if w in path:
                 continue
             if diff[w - 1] <= diff[v - 1] + STRICT_TOL:

@@ -3,7 +3,9 @@
 J(tau) = (I + tau L)^{-1} is one linear solve.  Jbar, the normalized matrix
 of maximum forests, is the eigenprojection onto ker L along range L, built
 from one right and one left null vector per source knot (Agaev and
-Chebotarev 2000; Chebotarev and Agaev 2002).
+Chebotarev 2000; Chebotarev and Agaev 2002).  In exact mode each of these
+solves, and det(I + tau L), is one fraction-free integer elimination,
+``exact.solve``.
 
 The k-arc forest matrices Q_k and their total weights sigma_k satisfy
 
@@ -47,7 +49,7 @@ def _identity(n: int, exact: bool) -> np.ndarray:
 
 def _solve(a: np.ndarray, b: np.ndarray, exact: bool) -> np.ndarray:
     if exact:
-        return np.array(exact_la.solve(a.tolist(), b.tolist()), dtype=object)
+        return exact_la.solve(a, b)[1]
     return np.linalg.solve(a, b)
 
 
@@ -188,10 +190,15 @@ class ForestMatrixStack:
 
     @cached_property
     def sigmas(self) -> tuple:
-        one = Fraction(1) if self.exact else 1.0
-        out = [one]
+        """sigma_0..sigma_m; a float sigma_k beyond the float range raises
+        ArithmeticError."""
+        out = [Fraction(1) if self.exact else 1.0]
         for rho in self.rhos:
-            out.append(out[-1] * rho)
+            out.append(out[-1] * (rho if self.exact else float(rho)))
+        # Python floats overflow to inf without numpy's RuntimeWarning, and
+        # every ratio is positive, so a sigma_k that overflowed stays infinite
+        if out[-1] == math.inf:
+            raise ArithmeticError("a forest weight sigma_k overflows the float range")
         return tuple(out)
 
     @cached_property
@@ -259,16 +266,17 @@ def parametric_matrices(stack: ForestMatrixStack, lap: LaplacianMatrix, tau) -> 
     """J(tau) = (I + tau L)^{-1}, sigma(tau) = det(I + tau L) and Q(tau) =
     sigma(tau) J(tau).
 
-    In float arithmetic J(tau) (I + tau L) = I is checked before returning,
-    within a bound relative to tau max|L|.
+    In exact arithmetic sigma(tau) and J(tau) come from one fraction-free
+    elimination.  In float arithmetic J(tau) (I + tau L) = I is checked
+    before returning, within a bound relative to tau max|L|.
     """
     if lap.exact != stack.exact:
         raise ValueError("stack and Laplacian must share the arithmetic mode")
     tau, eye, system = _scaled(lap, tau)
-    j_tau = _solve(system, eye, lap.exact)
     if lap.exact:
-        sigma_tau = exact_la.determinant(system.tolist())
+        sigma_tau, j_tau = exact_la.solve(system, eye)
     else:
+        j_tau = np.linalg.solve(system, eye)
         sigma_tau = float(np.linalg.det(system))
         residual = float(np.abs(j_tau @ system - eye).max())
         if residual > 1e-8 * max(1.0, tau * float(np.abs(lap.entries).max())) * lap.n:

@@ -244,24 +244,6 @@ def reverse(g: Digraph) -> Digraph:
     return Digraph(g.n, tuple(Arc(a.head, a.tail, a.weight) for a in g.arcs))
 
 
-def induced_subgraph(g: Digraph, vertices: Iterable[int]) -> tuple[Digraph, tuple[int, ...]]:
-    """Restriction of g to a vertex subset, relabeled 1..k.
-
-    Returns (subgraph, original_ids) with original_ids[new - 1] = old id.
-    Requires at least two vertices (the digraph type excludes n = 1).
-    """
-    ids = tuple(sorted(set(vertices)))
-    if len(ids) < 2:
-        raise ValueError("induced subgraph needs at least two vertices")
-    index = {old: new for new, old in enumerate(ids, start=1)}
-    arcs = tuple(
-        Arc(index[a.tail], index[a.head], a.weight)
-        for a in g.arcs
-        if a.tail in index and a.head in index
-    )
-    return Digraph(len(ids), arcs), ids
-
-
 def strong_components(g: Digraph | SuccessorLists) -> Condensation:
     """Tarjan partition into strong components plus the condensation arcs.
 

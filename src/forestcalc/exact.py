@@ -1,97 +1,56 @@
-"""Exact rational linear algebra via fraction-free Gaussian elimination.
+"""Exact rational linear algebra: one fraction-free elimination.
 
-Bareiss one-step elimination keeps every intermediate an integer when the
-input is integer, and every division it performs is exact, so determinants
-and inverses of matrices like I + tau*L stay exact even for astronomically
-large tau.
+``solve`` scales each row of [A | B] by the least common multiple of its
+denominators, so that the system is over the integers, and runs Bareiss's
+one-step elimination (Bareiss, Math. Comp. 22, 1968) on Python ints.  Every
+division in it is exact, and its last pivot is the determinant.  Back
+substitution solves for det * X, which is an integer matrix, and rationals
+appear only when that is divided by the determinant, so systems like
+I + tau L stay exact even for astronomically large tau.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
+import numpy as np
 
 
-Matrix = list[list[Fraction]]
+def solve(a, b) -> tuple[Fraction, np.ndarray]:
+    """(det A, X) with A X = B, both exact, for a square nonsingular A.
 
-
-def _copy(matrix) -> Matrix:
-    return [[Fraction(x) for x in row] for row in matrix]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def determinant(matrix) -> Fraction:
-    """Determinant by Bareiss fraction-free elimination."""
-    a = _copy(matrix)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def solve(matrix, rhs) -> Matrix:
-    """Exact solution X of A X = B for a nonsingular A.
-
-    Forward elimination is fraction-free (Bareiss); back substitution divides
-    by the final pivots, which is where the rationals appear.
+    A and B hold ints or Fractions; X is an object array of Fractions.  B
+    may have no columns, which leaves only the determinant.  A singular A
+    raises ZeroDivisionError.
     """
-    a = _copy(matrix)
-    n = len(a)
-    b = _copy(rhs)
-    if len(b) != n:
-        raise ValueError("right-hand side has wrong height")
-    width = len(b[0])
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot_row = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if pivot_row is None:
+    a = np.asarray(a, dtype=object)
+    b = np.asarray(b, dtype=object)
+    n = a.shape[0]
+    if a.shape != (n, n) or b.ndim != 2 or b.shape[0] != n:
+        raise ValueError(f"need a square A and a B of equal height, got {a.shape} and {b.shape}")
+    scale, rows = 1, []
+    for row in np.hstack([a, b]):
+        s = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    m = np.array(rows, dtype=object).reshape(n, n + b.shape[1])
+
+    sign, prev = 1, 1
+    for k in range(n):
+        if m[k, k] == 0:
+            r = next((r for r in range(k + 1, n) if m[r, k] != 0), None)
+            if r is None:
                 raise ZeroDivisionError("matrix is singular")
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            b[k], b[pivot_row] = b[pivot_row], b[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            for j in range(width):
-                b[i][j] = (b[i][j] * a[k][k] - a[i][k] * b[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = a[k][k]
-    if a[n - 1][n - 1] == 0:
-        raise ZeroDivisionError("matrix is singular")
-    x = [[Fraction(0)] * width for _ in range(n)]
+            m[[k, r]] = m[[r, k]]
+            sign = -sign
+        pivot = m[k, k]
+        m[k + 1:, k + 1:] = (m[k + 1:, k + 1:] * pivot - m[k + 1:, k, None] * m[k, None, k + 1:]) // prev
+        prev = pivot
+
+    # prev is now the determinant of the row-permuted integer A, so
+    # y = prev * X is an integer matrix and each division below is exact
+    y = np.empty((n, b.shape[1]), dtype=object)
     for i in range(n - 1, -1, -1):
-        for j in range(width):
-            acc = b[i][j]
-            for r in range(i + 1, n):
-                acc -= a[i][r] * x[r][j]
-            x[i][j] = acc / a[i][i]
-    return x
-
-
-def inverse(matrix) -> Matrix:
-    return solve(matrix, identity(len(matrix)))
-
-
-def adjugate(matrix) -> Matrix:
-    """adj(A) = det(A) * A^{-1}; requires a nonsingular A."""
-    det = determinant(matrix)
-    if det == 0:
-        raise ZeroDivisionError("adjugate via inverse needs a nonsingular matrix")
-    inv = inverse(matrix)
-    return [[det * x for x in row] for row in inv]
+        y[i] = (prev * m[i, n:] - m[i, i + 1:n] @ y[i + 1:]) // m[i, i]
+    return Fraction(sign * prev, scale), y / Fraction(prev)

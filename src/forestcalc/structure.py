@@ -109,6 +109,6 @@ def top_reachability_by_threshold(g: Digraph, limit: int = EXACT_LIMIT) -> TopRe
     if g.n > limit:
         raise ValueError(f"exact arithmetic limited to {limit} vertices, got {g.n}")
     lap = column_laplacian(g, exact=True)
-    sigma = exact.determinant((np.eye(g.n, dtype=int) + lap.entries).tolist())
+    sigma, _ = exact.solve(np.eye(g.n, dtype=int) + lap.entries, np.empty((g.n, 0)))
     j_tau = resolvent(lap, sigma * sigma)
     return TopReachabilityMatrix(np.array(j_tau >= 1 / sigma, dtype=int))

@@ -94,6 +94,8 @@ UNIT_PATH6 = "6\n1 2\n2 3\n3 4\n4 5\n5 6\n"
 # The float Jbar of NAN_JBAR_N3 holds NaN; the float weight of TINY_WEIGHT is 0.0.
 NAN_JBAR_N3 = "3\n2 1 1e12\n3 1 2\n1 3 1e12\n3 2 1e-300\n2 3 0.5\n"
 TINY_WEIGHT = "2\n1 2 1e-400\n"
+# Every entry of its float L is finite, but sigma_2 is about 1e600.
+SIGMA_OVERFLOW_N3 = "3\n1 2 1e300\n2 3 1e300\n3 1 1e-300\n"
 
 
 @pytest.fixture(scope="session")

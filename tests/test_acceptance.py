@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from forestcalc import (
+    Arc,
     Digraph,
     check_condition,
     column_laplacian,
@@ -42,7 +43,6 @@ from forestcalc import (
     verify_tree_theorem,
     dissemination_estimate,
 )
-from forestcalc.digraph import induced_subgraph
 from forestcalc.oracle import normalized_forest_matrix
 from forestcalc.structure import structural_top_reachability
 from forestcalc.verification import _numeric_rank
@@ -312,7 +312,10 @@ def _knot_tree_weights(g, knot):
     if len(knot) == 1:
         column[min(knot) - 1] = 1.0
         return column
-    sub, ids = induced_subgraph(g, knot)
+    ids = sorted(knot)
+    index = {old: new for new, old in enumerate(ids, start=1)}
+    sub = Digraph(len(ids), tuple(Arc(index[a.tail], index[a.head], a.weight)
+                                  for a in g.arcs if a.tail in index and a.head in index))
     weights = {v: Fraction(0) for v in knot}
     for tree in enumerate_out_forests(sub).forests(len(knot) - 1):
         (root,) = tree.roots

@@ -12,6 +12,7 @@ from forestcalc import (
     out_accessibility,
     reverse,
 )
+from forestcalc import accessibility
 from forestcalc.accessibility import small_tau_monotonicity_probe
 
 
@@ -171,6 +172,33 @@ class TestConvexityPath:
                     if k != i and p[i - 1, k - 1] - p[i - 1, t - 1] > 1e-10:
                         path = convexity_path(p3, p, "B", k, t, i)
                         assert path is not None and path[0] == i and path[-1] == k
+
+    @pytest.mark.parametrize("mode", ["strict", "nonstrict"])
+    def test_variant_b_is_variant_a_on_the_reversal(self, recurrence_failures, mode):
+        g = recurrence_failures["monotonicity-n6"]
+        rev = reverse(g)
+        for tau in (1.0, math.inf):
+            p = in_accessibility(g, tau).entries
+            for k in g.vertices:
+                for t in g.vertices:
+                    for i in g.vertices:
+                        if k == i or not p[i - 1, k - 1] - p[i - 1, t - 1] > 1e-10:
+                            continue
+                        on_rev = convexity_path(rev, p.T, "A", k, t, i, mode=mode)
+                        expected = None if on_rev is None else tuple(reversed(on_rev))
+                        assert convexity_path(g, p, "B", k, t, i, mode=mode) == expected
+
+    def test_variant_b_check_reverses_the_digraph_at_most_twice(self, recurrence_failures, monkeypatch):
+        calls = []
+
+        def counting_reverse(g):
+            calls.append(g)
+            return reverse(g)
+
+        monkeypatch.setattr(accessibility, "reverse", counting_reverse)
+        check_condition(recurrence_failures["monotonicity-n6"], "convexity",
+                        direction="in", tau=1.0, variant="B", mode="nonstrict")
+        assert len(calls) <= 2
 
 
 class TestStrictSuiteAtFiniteTau:

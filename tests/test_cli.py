@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from forestcalc import cli, load_digraph
 from forestcalc.structure import structural_top_reachability
 
-from conftest import NAN_JBAR_N3, ROUNDOFF_LAYER_N8, TINY_WEIGHT, UNIT_PATH6, WRONG_FROM_N8
+from conftest import NAN_JBAR_N3, ROUNDOFF_LAYER_N8, SIGMA_OVERFLOW_N3, TINY_WEIGHT, UNIT_PATH6, WRONG_FROM_N8
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_inputs"
 COMMANDS = ("forests", "reach", "knots", "access", "rank", "markov", "simulate", "verify")
@@ -230,6 +231,15 @@ def test_results_outside_the_float_range_give_error_json(tmp_path, capsys, name,
     with np.errstate(invalid="ignore"):
         code, doc = run_in_process(capsys, *args, "--input", str(path))
     assert code == 1 and "error" in doc, doc
+
+
+def test_sigma_overflow_gives_error_json_without_warnings(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text(SIGMA_OVERFLOW_N3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = run_in_process(capsys, "forests", "--input", str(path))
+    assert code == 1 and doc["error"]["type"] == "ArithmeticError", doc
 
 
 def test_small_tau_reach_on_a_long_path(tmp_path):
